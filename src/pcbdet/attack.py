@@ -7,7 +7,7 @@ source-class training clouds relabeled to the target class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,13 +59,15 @@ class BackdoorPattern:
 
 @dataclass
 class AttackConfig:
-    source: int
-    target: int
+    """Attack settings; also the run config's attack section."""
+
+    source: int = 2
+    target: int = 4
     poison_count: int = 15
     pattern_points: int = 3
     pattern_radius: float = GEOMETRY_RADIUS
-    seed: int = 0
-    standoff: float = 0.3
+    seed: int = 3
+    standoff: float = 0.2
     candidates: int = 64
 
     def __post_init__(self):
@@ -174,11 +176,27 @@ def save_pattern(pattern: BackdoorPattern, path) -> None:
 
 
 def load_pattern(path) -> BackdoorPattern:
+    """Read a pattern file; a malformed or truncated one raises ValueError
+    naming the file and the 1-based line."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    n = int(head[0])
-    radius = float(head[1]) if len(head) > 1 else GEOMETRY_RADIUS
-    center = np.array([float(v) for v in lines[1].split()])
-    offsets = np.array([[float(v) for v in lines[2 + i].split()] for i in range(n)])
-    return BackdoorPattern(center=center, offsets=offsets, radius=radius)
+        rows = [(no, ln.split()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    end = rows[-1][0] + 1 if rows else 1
+
+    def row(k, types, what):
+        no, parts = rows[k] if k < len(rows) else (end, [])
+        try:
+            if len(parts) != len(types):
+                raise ValueError
+            vals = [t(p) for t, p in zip(types, parts)]
+        except ValueError:
+            raise ValueError(f"{path}: line {no}: expected {what}") from None
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{path}: line {no}: non-finite value")
+        return vals
+
+    n, radius = row(0, (int, float), "'n_prime radius'")
+    if n < 1:
+        raise ValueError(f"{path}: line {rows[0][0]}: a pattern needs at least one point")
+    center = row(1, (float,) * 3, "the center 'x y z'")
+    offsets = [row(2 + i, (float,) * 3, f"offset {i + 1} of {n}, 'x y z'") for i in range(n)]
+    return BackdoorPattern(center=np.array(center), offsets=np.array(offsets), radius=radius)

@@ -28,11 +28,12 @@ __all__ = [
     "predict",
     "pool_vector",
     "insertion_logits",
+    "insertion_predictions",
     "insertion_gradient",
+    "margin_cotangent",
     "loss_gradient_wrt_point",
     "train",
     "accuracy",
-    "mean_cross_entropy",
     "save_weights",
     "load_weights",
 ]
@@ -84,9 +85,6 @@ class ClassifierWeights:
                 raise ValueError(f"weight shape mismatch: {arr.shape} != {want}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite parameter")
-
-    def copy(self) -> "ClassifierWeights":
-        return ClassifierWeights(*[a.copy() for a in self.arrays()])
 
 
 @dataclass
@@ -178,8 +176,6 @@ _ROW_BLOCK = 256
 
 def _affine_rows(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = x.shape[0]
-    if n == _ROW_BLOCK:
-        return x @ W + b
     out = np.empty((n, W.shape[1]))
     for s in range(0, n, _ROW_BLOCK):
         chunk = x[s : s + _ROW_BLOCK]
@@ -275,6 +271,19 @@ def insertion_logits(w: ClassifierWeights, pooled_base: np.ndarray, c: np.ndarra
     return logits, cache
 
 
+def insertion_predictions(w: ClassifierWeights, pooled_base: np.ndarray, c):
+    """Exact predictions of clouds with the one point c appended, from cached pools.
+
+    Unlike insertion_logits, c goes through the row-stable feature path and
+    the head runs on one cloud at a time, so logits[m] equals
+    forward_logits(w, X_m + {c}) bit for bit and preds[m] equals
+    predict(w, X_m + {c}). Returns (preds (M,), logits (M, K)).
+    """
+    _, _, _, feat = _point_features(w, as_point(c)[None, :])
+    logits = np.stack([_head(w, np.maximum(pool, feat[0]))[2] for pool in pooled_base])
+    return np.argmax(logits, axis=1), logits
+
+
 def insertion_gradient(w: ClassifierWeights, cache, g_logits: np.ndarray) -> np.ndarray:
     """Reverse-mode gradient wrt the inserted point(s).
 
@@ -303,41 +312,36 @@ def loss_gradient_wrt_point(w: ClassifierWeights, X, c, spec: LossSpec) -> np.nd
     c = as_point(c)
     w.validate()
     K = w.num_classes
+    target = spec.target if spec.kind == "targeted" else None
     if not 0 <= spec.source < K:
         raise ValueError("source class out of range")
-    pooled = pool_vector(w, X)[None, :]  # (1, 128)
-    logits, cache = insertion_logits(w, pooled, c)
-    lg = logits[0]
-    g = np.zeros((1, K))
-    g[0, spec.source] += 1.0
-    if spec.kind == "untargeted":
-        rival = _best_rival(lg, spec.source)
-        g[0, rival] -= 1.0
+    if target is not None and not 0 <= target < K:
+        raise ValueError("target class out of range")
+    logits, cache = insertion_logits(w, pool_vector(w, X)[None, :], c)  # (1, K)
+    return insertion_gradient(w, cache, margin_cotangent(logits, spec.source, target))
+
+
+def margin_cotangent(logits: np.ndarray, source: int, target: int | None) -> np.ndarray:
+    """d(margin)/d(logits) of the margin h(source) - h(rival), per logit row.
+
+    The rival is target, or with target None the best class other than
+    source (ties to the lowest index). logits has shape (..., K).
+    """
+    g = np.zeros_like(logits)
+    g[..., source] = 1.0
+    if target is None:
+        masked = logits.copy()
+        masked[..., source] = -np.inf
+        rival = np.argmax(masked, axis=-1)
+        np.put_along_axis(g, rival[..., None], -1.0, axis=-1)
     else:
-        if not 0 <= spec.target < K:
-            raise ValueError("target class out of range")
-        g[0, spec.target] -= 1.0
-    return insertion_gradient(w, cache, g)
-
-
-def _best_rival(logits: np.ndarray, source: int) -> int:
-    """argmax_{k != source} logits[k], ties to the lowest index."""
-    masked = logits.copy()
-    masked[source] = -np.inf
-    return int(np.argmax(masked))
+        g[..., target] = -1.0
+    return g
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-
-def _stack_by_size(clouds, labels):
-    """Group sample indices by cloud size so each group batches into one array."""
-    groups: dict[int, list[int]] = {}
-    for i, X in enumerate(clouds):
-        groups.setdefault(len(X), []).append(i)
-    return groups
 
 
 def _batch_forward(w: ClassifierWeights, pts: np.ndarray):
@@ -411,9 +415,8 @@ def train(data: Dataset, cfg: TrainConfig) -> ClassifierWeights:
     for epoch in range(cfg.epochs):
         epoch_rng = np.random.default_rng([int(cfg.seed), 0x5417, epoch])
         order = epoch_rng.permutation(n_samples)
-        if cfg.outlier_points > 0:
-            noise = cfg.outlier_radius * _ball_points(epoch_rng, n_samples * cfg.outlier_points)
-            noise = noise.reshape(n_samples, cfg.outlier_points, 3)
+        noise = cfg.outlier_radius * _ball_points(epoch_rng, n_samples * cfg.outlier_points)
+        noise = noise.reshape(n_samples, cfg.outlier_points, 3)
         for start in range(0, n_samples, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             grads = [np.zeros_like(a) for a in w.arrays()]
@@ -424,10 +427,7 @@ def train(data: Dataset, cfg: TrainConfig) -> ClassifierWeights:
                 by_size.setdefault(len(data.clouds[i]), []).append(int(i))
             for size in sorted(by_size):
                 idx = by_size[size]
-                if cfg.outlier_points > 0:
-                    pts = np.stack([np.vstack([data.clouds[i], noise[i]]) for i in idx])
-                else:
-                    pts = np.stack([data.clouds[i] for i in idx])
+                pts = np.stack([np.vstack([data.clouds[i], noise[i]]) for i in idx])
                 labs = data.labels[idx]
                 fwd = _batch_forward(w, pts)
                 probs = _softmax(fwd["logits"])
@@ -456,15 +456,6 @@ def _ball_points(rng, count: int) -> np.ndarray:
 def accuracy(w: ClassifierWeights, data: Dataset) -> float:
     hits = sum(1 for X, lab in zip(data.clouds, data.labels) if predict(w, X) == lab)
     return hits / len(data)
-
-
-def mean_cross_entropy(w: ClassifierWeights, data: Dataset) -> float:
-    total = 0.0
-    for X, lab in zip(data.clouds, data.labels):
-        logits = forward_logits(w, X)
-        shifted = logits - logits.max()
-        total += float(np.log(np.exp(shifted).sum()) - shifted[lab])
-    return total / len(data)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +488,7 @@ def load_weights(path) -> ClassifierWeights:
     parts = header.split()
     if len(parts) != 2 or parts[0] != WEIGHTS_MAGIC:
         raise WeightsFormatError(f"not a weights file: header {header!r}")
-    if int(parts[1]) != WEIGHTS_VERSION:
+    if parts[1] != str(WEIGHTS_VERSION):
         raise WeightsFormatError(f"unsupported weights version {parts[1]}")
     try:
         meta = json.loads(buf.readline().decode("ascii"))

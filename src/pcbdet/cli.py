@@ -7,14 +7,12 @@ detect: 0 clean, 2 attacked, 3 inconclusive, 1 error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from pcbdet.config import default_config, load_config, save_config
 from pcbdet import pipeline
-from pcbdet.inference import VERDICT_ATTACKED, VERDICT_CLEAN, VERDICT_INCONCLUSIVE
-from pcbdet.report import read_statistics_csv
+from pcbdet.inference import VERDICT_ATTACKED, VERDICT_INCONCLUSIVE
+from pcbdet.report import read_report, write_histogram_svg
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
@@ -117,17 +115,17 @@ def main(argv=None) -> int:
             return EXIT_CLEAN
 
         if args.command == "report":
-            rows = read_statistics_csv(args.stats)
-            with open(args.report, "r", encoding="ascii") as fh:
-                rep = json.load(fh)
-            print(f"verdict {rep['verdict']}  pv {rep['pv_display']}  K {rep['K']}  J {rep['J']}")
-            for row in rows:
-                mark = " *" if row["excluded"] else ""
+            report = read_report(args.stats, args.report)
+            pv = None if report.pvalue is None else report.pvalue.display()
+            print(f"verdict {report.verdict}  pv {pv}  K {report.num_classes}  J {report.num_excluded}")
+            excluded = report.fit.excluded if report.fit else ()
+            for st in report.stats:
+                mark = " *" if st.source in excluded else ""
                 print(
-                    f"  class {row['class']}: t_hat {row['t_hat']} r_s {row['r_s']:.4f} "
-                    f"r_t {row['r_t']:.4f} z {row['z']:.3f} w {row['w']:.3f} r {row['r']:.4f}{mark}"
+                    f"  class {st.source}: t_hat {-1 if st.failed else st.t_hat} r_s {st.r_s:.4f} "
+                    f"r_t {st.r_t:.4f} z {st.z:.3f} w {st.w:.3f} r {st.r:.4f}{mark}"
                 )
-            _render_svg_from_rows(rows, rep, args.out)
+            write_histogram_svg(report, args.out)
             print(f"histogram written to {args.out}")
             return EXIT_CLEAN
     except BrokenPipeError:
@@ -136,45 +134,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_ERROR
-
-
-def _render_svg_from_rows(rows, rep, out_path) -> None:
-    from pcbdet.inference import ClassStatistics, DetectionReport, NullFit, PValue
-    import numpy as np
-
-    stats = [
-        ClassStatistics(
-            source=row["class"],
-            t_hat=None if row["t_hat"] < 0 else row["t_hat"],
-            r_s=row["r_s"],
-            r_t=row["r_t"],
-            z=row["z"],
-            w=row["w"],
-            r=row["r"],
-        )
-        for row in rows
-    ]
-    excluded = tuple(sorted(row["class"] for row in rows if row["excluded"]))
-    fit = None
-    if rep.get("gamma_shape") is not None:
-        fit = NullFit(shape=rep["gamma_shape"], scale=rep["gamma_scale"], excluded=excluded, values=np.array([]))
-    pvalue = None
-    if rep.get("pv") is not None:
-        pvalue = PValue(pv=rep["pv"], log_pv=rep["log_pv"], underflow=rep["pv_display"] == "u.f.")
-    report = DetectionReport(
-        stats=stats,
-        fit=fit,
-        s_max=rep["s_max"],
-        pvalue=pvalue,
-        phi=rep["phi"],
-        verdict=rep["verdict"],
-        inferred_target=rep.get("inferred_target"),
-        num_classes=rep["K"],
-        num_excluded=rep["J"],
-    )
-    from pcbdet.report import write_histogram_svg
-
-    write_histogram_svg(report, out_path)
 
 
 if __name__ == "__main__":

@@ -7,13 +7,14 @@ explicit, never wall-clock derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from pcbdet.attack import AttackConfig
 from pcbdet.classifier import TrainConfig
 from pcbdet.estimation import EstimationParams
 
-__all__ = ["DataConfig", "AttackSection", "RunConfig", "load_config", "save_config", "default_config"]
+__all__ = ["DataConfig", "RunConfig", "load_config", "save_config", "default_config"]
 
 
 @dataclass
@@ -28,22 +29,10 @@ class DataConfig:
 
 
 @dataclass
-class AttackSection:
-    source: int = 2
-    target: int = 4
-    poison_count: int = 15
-    pattern_points: int = 3
-    pattern_radius: float = 0.05
-    seed: int = 3
-    standoff: float = 0.2
-    candidates: int = 64
-
-
-@dataclass
 class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    attack: AttackSection = field(default_factory=AttackSection)
+    attack: AttackConfig = field(default_factory=AttackConfig)
     estimation: EstimationParams = field(default_factory=EstimationParams)
     detect_seed: int = 5
     phi: float = 0.05
@@ -111,26 +100,26 @@ def load_config(path) -> RunConfig:
                 parsed = typ(value)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad {typ.__name__} value {value!r}") from None
-            _assign(cfg, attr_path, parsed)
+            setattr(*_owner(cfg, attr_path), parsed)
     _revalidate(cfg)
     return cfg
 
 
-def _assign(cfg, attr_path: str, value) -> None:
+def _owner(cfg: RunConfig, attr_path: str):
+    """(section object, attribute name) that a schema path points to."""
+    *sections, name = attr_path.split(".")
     obj = cfg
-    parts = attr_path.split(".")
-    for name in parts[:-1]:
-        obj = getattr(obj, name)
-    setattr(obj, parts[-1], value)
+    for section in sections:
+        obj = getattr(obj, section)
+    return obj, name
 
 
 def _revalidate(cfg: RunConfig) -> None:
     # Dataclass validators only run in __post_init__; re-run them on the
     # mutated sections.
     cfg.train.__post_init__()
+    cfg.attack.__post_init__()
     cfg.estimation.__post_init__()
-    if cfg.attack.source == cfg.attack.target:
-        raise ValueError("attack_source and attack_target must differ")
     if not 0.0 < cfg.phi < 1.0:
         raise ValueError("phi must be in (0, 1)")
     if cfg.data.classes < 2:
@@ -144,12 +133,7 @@ def save_config(cfg: RunConfig, path) -> None:
             if lines:
                 lines.append("")
             lines.append(f"# {_COMMENTS[key]}")
-        obj = cfg
-        parts = attr_path.split(".")
-        for name in parts[:-1]:
-            obj = getattr(obj, name)
-        value = getattr(obj, parts[-1])
-        lines.append(f"{key} = {value}")
+        lines.append(f"{key} = {getattr(*_owner(cfg, attr_path))}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -17,19 +17,17 @@ import numpy as np
 
 from pcbdet.classifier import (
     ClassifierWeights,
-    forward_logits,
     insertion_gradient,
     insertion_logits,
+    insertion_predictions,
+    margin_cotangent,
     pool_vector,
 )
-from pcbdet.geometry import as_cloud, as_point, point_to_cloud_distance
+from pcbdet.geometry import as_cloud
 
 __all__ = [
     "EstimationParams",
     "GroupEstimate",
-    "SampleWiseEstimate",
-    "group_loss",
-    "samplewise_loss",
     "estimate_group_location",
     "vote_target_class",
     "estimate_samplewise_location",
@@ -82,35 +80,6 @@ class GroupEstimate:
         return self.center is None
 
 
-@dataclass
-class SampleWiseEstimate:
-    """Per-sample insertion locations for one source class (None = failed)."""
-
-    source: int
-    centers: list
-
-
-def group_loss(w: ClassifierWeights, clouds, source: int, c, lam: float) -> float:
-    """Untargeted margin loss plus distance penalty, summed over the clouds."""
-    c = as_point(c)
-    if len(clouds) < 1:
-        raise ValueError("need at least one cloud")
-    total = 0.0
-    for X in clouds:
-        logits = forward_logits(w, np.vstack([as_cloud(X), c[None, :]]))
-        others = np.delete(logits, source)
-        total += float(logits[source] - others.max())
-        total += lam * point_to_cloud_distance(c, X)
-    return total
-
-
-def samplewise_loss(w: ClassifierWeights, X, source: int, target: int, c, lam: float) -> float:
-    """Targeted margin loss plus distance penalty for a single cloud."""
-    c = as_point(c)
-    logits = forward_logits(w, np.vstack([as_cloud(X), c[None, :]]))
-    return float(logits[source] - logits[target]) + lam * point_to_cloud_distance(c, X)
-
-
 # ---------------------------------------------------------------------------
 # Shared descent loop
 # ---------------------------------------------------------------------------
@@ -137,24 +106,6 @@ def _distance_state(c: np.ndarray, clouds):
     return dists, grad
 
 
-def _margin_coefficients(logits: np.ndarray, source: int, target: int | None) -> np.ndarray:
-    """d(margin)/d(logits) for each (restart, cloud) pair.
-
-    Untargeted (target None): +1 at source, -1 at the current best rival.
-    Targeted: +1 at source, -1 at target.
-    """
-    g = np.zeros_like(logits)
-    g[..., source] = 1.0
-    if target is None:
-        masked = logits.copy()
-        masked[..., source] = -np.inf
-        rival = np.argmax(masked, axis=-1)
-        np.put_along_axis(g, rival[..., None], -1.0, axis=-1)
-    else:
-        g[..., target] = -1.0
-    return g
-
-
 def _descent(w, clouds, source, target, params, seed, trace_path):
     """Run the adaptive-penalty descent from n_restarts seeded inits.
 
@@ -162,10 +113,11 @@ def _descent(w, clouds, source, target, params, seed, trace_path):
     least a pi fraction of clouds misclassified away from source. With a
     target, feasibility means the (single) cloud is classified as target.
 
-    Returns (best_center | None, best_total_distance).
+    Returns (best_center, best_total_distance, preds), preds being the
+    exact prediction on each cloud with best_center inserted, or
+    (None, inf, None) when no recorded candidate passes the re-check.
     """
     clouds = [as_cloud(X) for X in clouds]
-    M = len(clouds)
     R = params.n_restarts
     pooled = np.stack([pool_vector(w, X) for X in clouds])  # (M, 128)
 
@@ -183,8 +135,7 @@ def _descent(w, clouds, source, target, params, seed, trace_path):
         trace.write(TRACE_HEADER + "\n")
     try:
         for tau in range(params.tau_max):
-            coeff = _margin_coefficients(logits, source, target)
-            g_net = insertion_gradient(w, cache, coeff)  # (R, 3)
+            g_net = insertion_gradient(w, cache, margin_cotangent(logits, source, target))  # (R, 3)
             grad = g_net + lam[:, None] * dist_grad
             # The step is delta * grad, its length capped at delta: near a
             # learned trigger the margin gradient is steep enough that a
@@ -194,11 +145,7 @@ def _descent(w, clouds, source, target, params, seed, trace_path):
 
             logits, cache = insertion_logits(w, pooled, c)
             dists, dist_grad = _distance_state(c, clouds)
-            preds = np.argmax(logits, axis=-1)  # (R, M)
-            if target is None:
-                rho = np.mean(preds != source, axis=1)
-            else:
-                rho = np.mean(preds == target, axis=1)
+            rho = _flip_rate(np.argmax(logits, axis=-1), source, target)  # (R,)
             feasible = rho >= params.pi
             lam = np.where(feasible, np.minimum(lam * params.alpha, LAMBDA_CAP), lam / params.alpha)
             total = dists.sum(axis=1)
@@ -207,7 +154,7 @@ def _descent(w, clouds, source, target, params, seed, trace_path):
             best_c[improved] = c[improved]
 
             if trace:
-                margins = np.take(logits, source, axis=-1) - _rival_values(logits, source, target)
+                margins = (margin_cotangent(logits, source, target) * logits).sum(axis=-1)  # (R, M)
                 loss = margins.sum(axis=1) + lam * total
                 for r in range(R):
                     trace.write(
@@ -222,28 +169,30 @@ def _descent(w, clouds, source, target, params, seed, trace_path):
     for r in order:
         if not np.isfinite(best_sum[r]):
             break
-        cand = best_c[r]
-        # Recorded candidates are re-validated from scratch, not trusted
-        # from loop state.
-        if _feasibility(w, clouds, cand, source, target) >= params.pi:
-            return cand.copy(), float(best_sum[r])
-    return None, np.inf
+        # Recorded candidates are re-validated with exact predictions, not
+        # trusted from the loop's last-ulp insertion logits.
+        preds, _ = insertion_predictions(w, pooled, best_c[r])
+        if _flip_rate(preds, source, target) >= params.pi:
+            return best_c[r].copy(), float(best_sum[r]), preds
+    return None, np.inf, None
 
 
-def _rival_values(logits: np.ndarray, source: int, target: int | None) -> np.ndarray:
+def _flip_rate(preds: np.ndarray, source: int, target: int | None):
+    """Share of the clouds (last axis of preds) that the insertion flips.
+
+    Group search (target None): predicted away from source. Sample-wise:
+    predicted as target.
+    """
     if target is None:
-        masked = logits.copy()
-        masked[..., source] = -np.inf
-        return masked.max(axis=-1)
-    return np.take(logits, target, axis=-1)
+        return np.mean(preds != source, axis=-1)
+    return np.mean(preds == target, axis=-1)
 
 
-def _feasibility(w, clouds, c, source, target) -> float:
-    preds = [int(np.argmax(forward_logits(w, np.vstack([X, c[None, :]])))) for X in clouds]
-    preds = np.asarray(preds)
-    if target is None:
-        return float(np.mean(preds != source))
-    return float(np.mean(preds == target))
+def _vote(preds: np.ndarray, source: int, num_classes: int) -> int:
+    """Most common class in preds other than source, ties to the lowest index."""
+    counts = np.bincount(preds, minlength=num_classes)
+    counts[source] = -1
+    return int(np.argmax(counts))
 
 
 def estimate_group_location(
@@ -259,23 +208,23 @@ def estimate_group_location(
     Runs n_restarts descent trajectories from c ~ N(0, I), each step of
     length at most delta; each iterate that flips at least a pi fraction of
     the clouds away from the source class is a candidate, and the candidate
-    with the smallest total distance to the clouds wins. Returns a failed estimate when no iterate of any restart is
-    ever feasible. The voted target class is filled in on success.
+    with the smallest total distance to the clouds wins. Returns a failed
+    estimate when no iterate of any restart is ever feasible. On success,
+    rho and the voted target (vote_target_class) come from the same exact
+    predictions that re-checked the winner.
     """
     if len(clouds) < 1:
         raise ValueError("need at least one cloud")
     if not 0 <= source < w.num_classes:
         raise ValueError("source class out of range")
-    center, total = _descent(w, clouds, source, None, params, seed, trace_path)
+    center, total, preds = _descent(w, clouds, source, None, params, seed, trace_path)
     if center is None:
         return GroupEstimate(source=source, center=None, target=None, rho=0.0, avg_source_distance=np.inf)
-    rho = _feasibility(w, [as_cloud(X) for X in clouds], center, source, None)
-    target = vote_target_class(w, clouds, center, source)
     return GroupEstimate(
         source=source,
         center=center,
-        target=target,
-        rho=rho,
+        target=_vote(preds, source, w.num_classes),
+        rho=float(_flip_rate(preds, source, None)),
         avg_source_distance=total / len(clouds),
     )
 
@@ -287,13 +236,8 @@ def vote_target_class(w: ClassifierWeights, clouds, c_hat, source: int) -> int:
     """
     if c_hat is None:
         raise ValueError("cannot vote with a failed estimate")
-    c = as_point(c_hat)
-    counts = np.zeros(w.num_classes, dtype=np.int64)
-    for X in clouds:
-        pred = int(np.argmax(forward_logits(w, np.vstack([as_cloud(X), c[None, :]]))))
-        counts[pred] += 1
-    counts[source] = -1
-    return int(np.argmax(counts))
+    preds, _ = insertion_predictions(w, np.stack([pool_vector(w, X) for X in clouds]), c_hat)
+    return _vote(preds, source, w.num_classes)
 
 
 def estimate_samplewise_location(
@@ -315,5 +259,5 @@ def estimate_samplewise_location(
         raise ValueError("target must differ from source")
     if not 0 <= target < w.num_classes:
         raise ValueError("target class out of range")
-    center, _ = _descent(w, [X], source, target, params, seed, trace_path)
+    center, _, _ = _descent(w, [X], source, target, params, seed, trace_path)
     return center

@@ -8,7 +8,7 @@ computed quantity, which the test suite enforces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -411,6 +411,8 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path, num_classes: int | None = None) -> Dataset:
+    """Read a dataset file; a malformed, truncated or non-finite record raises
+    ValueError naming the file and the 1-based line."""
     clouds: list = []
     labels: list = []
     with open(path, "r", encoding="ascii") as fh:
@@ -421,14 +423,24 @@ def load_dataset(path, num_classes: int | None = None) -> Dataset:
         if not ln:
             i += 1
             continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {i + 1}: expected 'label n' record header")
-        lab, n = int(parts[0]), int(parts[1])
+        try:
+            lab, n = (int(v) for v in ln.split())
+        except ValueError:
+            raise ValueError(f"{path}: line {i + 1}: expected 'label n' record header") from None
+        if n < 1:
+            raise ValueError(f"{path}: line {i + 1}: a record needs at least one point")
         rows = np.empty((n, 3))
         for j in range(n):
-            coords = lines[i + 1 + j].split()
-            rows[j] = [float(coords[0]), float(coords[1]), float(coords[2])]
+            try:
+                x, y, z = lines[i + 1 + j].split()
+                rows[j] = [float(x), float(y), float(z)]
+            except (ValueError, IndexError):
+                raise ValueError(
+                    f"{path}: line {i + 2 + j}: expected 'x y z', point {j + 1} of the record at line {i + 1}"
+                ) from None
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{path}: line {i + 2 + int(np.argmin(finite))}: non-finite coordinate")
         clouds.append(rows)
         labels.append(lab)
         i += 1 + n

@@ -19,7 +19,7 @@ statistics only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -33,14 +33,12 @@ __all__ = [
     "DetectionReport",
     "DegenerateNullError",
     "compute_r_s",
-    "compute_r_t",
     "compute_z",
     "compute_w",
     "combined_statistic",
     "ablation_statistics",
     "exclusion_set",
     "fit_gamma_null",
-    "gamma_cdf",
     "order_statistic_pvalue",
     "calibrated_pvalue",
     "detect",
@@ -117,16 +115,14 @@ class DetectionReport:
 
 
 def compute_r_s(c_hat, clouds) -> float:
-    """Mean distance from the estimated location to the source-class clouds."""
+    """Mean distance from the estimated location to the clouds.
+
+    r_s on the source class's clouds; r_t on the voted target's clouds.
+    """
     c = as_point(c_hat)
     if len(clouds) < 1:
         raise ValueError("need at least one cloud")
     return float(np.mean([point_to_cloud_distance(c, X) for X in clouds]))
-
-
-def compute_r_t(c_hat, clouds) -> float:
-    """Mean distance from the estimated location to the voted target's clouds."""
-    return compute_r_s(c_hat, clouds)
 
 
 def compute_z(group_center, samplewise_centers) -> float:
@@ -256,13 +252,6 @@ def fit_gamma_null(values) -> NullFit:
         raise DegenerateNullError("non-positive log-moment gap")
     shape, scale = _gamma_shape_mle(np.array([m]), np.array([s]), [m * m / v])
     return NullFit(shape=float(shape[0]), scale=float(scale[0]), excluded=(), values=vals)
-
-
-def gamma_cdf(fit: NullFit, x: float) -> float:
-    """Null cdf G(x)."""
-    if x <= 0:
-        return 0.0
-    return float(special.gammainc(fit.shape, x / fit.scale))
 
 
 def _gamma_log_sf(fit: NullFit, x: float) -> float:

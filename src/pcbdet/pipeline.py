@@ -11,16 +11,13 @@ split.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from pcbdet.attack import (
-    AttackConfig,
     attack_success_rate,
     choose_center,
-    load_pattern,
     make_pattern,
     poison_dataset,
     save_pattern,
@@ -154,16 +151,6 @@ def attack_stage(cfg: RunConfig, out_dir, clean_weights=None) -> dict:
     train_ds = _load_split(out, "train", cfg.data.classes)
     test_ds = _load_split(out, "test", cfg.data.classes)
     a = cfg.attack
-    acfg = AttackConfig(
-        source=a.source,
-        target=a.target,
-        poison_count=a.poison_count,
-        pattern_points=a.pattern_points,
-        pattern_radius=a.pattern_radius,
-        seed=a.seed,
-        standoff=a.standoff,
-        candidates=a.candidates,
-    )
     if clean_weights is not None:
         w_clean = load_weights(clean_weights)
     else:
@@ -171,7 +158,7 @@ def attack_stage(cfg: RunConfig, out_dir, clean_weights=None) -> dict:
     source_clouds = train_ds.clouds_of_class(a.source)
     center = choose_center(source_clouds, a.standoff, a.candidates, a.seed, weights=w_clean)
     pattern = make_pattern(center, a.pattern_points, a.seed, radius=a.pattern_radius)
-    poisoned = poison_dataset(train_ds, acfg, pattern)
+    poisoned = poison_dataset(train_ds, a, pattern)
     w_bad = train(poisoned, cfg.train)
 
     held_out = test_ds.clouds_of_class(a.source)
@@ -253,11 +240,7 @@ def assemble_statistics(w, detection_sets, params: EstimationParams, seed: int, 
             for i, X in enumerate(detection_sets[s])
         ]
         z_by_class[s] = compute_z(est.center, centers)
-    if K >= 2:
-        w_values = compute_w([z_by_class[s] for s in range(K)])
-        w_by_class = {s: float(w_values[s]) for s in range(K)}
-    else:
-        w_by_class = {s: 1.0 for s in z_by_class}
+    w_values = compute_w([z_by_class[s] for s in range(K)])
     stats = []
     for s in range(K):
         est = groups[s]
@@ -266,7 +249,7 @@ def assemble_statistics(w, detection_sets, params: EstimationParams, seed: int, 
             continue
         r_s = compute_r_s(est.center, detection_sets[s])
         r_t = compute_r_s(est.center, detection_sets[est.target])
-        w_s = w_by_class[s]
+        w_s = float(w_values[s])
         stats.append(
             ClassStatistics(
                 source=s,

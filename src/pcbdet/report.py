@@ -7,11 +7,19 @@ round-trip form) and nothing carries a timestamp unless explicitly requested.
 from __future__ import annotations
 
 import json
-import math
 
-from pcbdet.inference import DetectionReport, ablation_statistics
+import numpy as np
 
-__all__ = ["STATS_HEADER", "write_statistics_csv", "read_statistics_csv", "write_report_json", "write_histogram_svg"]
+from pcbdet.inference import UNDERFLOW_LIMIT, ClassStatistics, DetectionReport, NullFit, PValue, ablation_statistics
+
+__all__ = [
+    "STATS_HEADER",
+    "write_statistics_csv",
+    "read_statistics_csv",
+    "write_report_json",
+    "read_report",
+    "write_histogram_svg",
+]
 
 STATS_HEADER = "class,t_hat,r_s,r_t,z,w,r,inv_rs,rt_over_rs,w_over_rs,excluded"
 
@@ -83,6 +91,46 @@ def write_report_json(report: DetectionReport, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_report(stats_path, report_path) -> DetectionReport:
+    """The DetectionReport behind a statistics CSV and its report JSON.
+
+    Writing it back reproduces both files byte for byte; the fit's values
+    are not stored, so fit.values comes back empty.
+    """
+    rows = read_statistics_csv(stats_path)
+    with open(report_path, "r", encoding="ascii") as fh:
+        rep = json.load(fh)
+    stats = [
+        ClassStatistics(
+            source=row["class"],
+            t_hat=None if row["t_hat"] < 0 else row["t_hat"],
+            **{name: row[name] for name in ("r_s", "r_t", "z", "w", "r")},
+        )
+        for row in rows
+    ]
+    fit = None
+    if rep["gamma_shape"] is not None:
+        excluded = tuple(row["class"] for row in rows if row["excluded"])
+        fit = NullFit(shape=rep["gamma_shape"], scale=rep["gamma_scale"], excluded=excluded, values=np.empty(0))
+
+    def pvalue(pv, log_pv):
+        # detect flags underflow exactly for the values below UNDERFLOW_LIMIT.
+        return None if pv is None else PValue(pv=pv, log_pv=log_pv, underflow=pv < UNDERFLOW_LIMIT)
+
+    return DetectionReport(
+        stats=stats,
+        fit=fit,
+        s_max=rep["s_max"],
+        pvalue=pvalue(rep["pv"], rep["log_pv"]),
+        phi=rep["phi"],
+        verdict=rep["verdict"],
+        inferred_target=rep["inferred_target"],
+        num_classes=rep["K"],
+        num_excluded=rep["J"],
+        order_pvalue=pvalue(rep.get("order_pv"), rep.get("order_log_pv")),
+    )
 
 
 def write_histogram_svg(report: DetectionReport, path, bins: int = 20, timestamp: str | None = None) -> None:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,27 @@ class TestPattern:
         back = load_pattern(f)
         np.testing.assert_array_equal(back.center, p.center)
         np.testing.assert_array_equal(back.offsets, p.offsets)
+
+    @pytest.mark.parametrize(
+        "keep, replace, line",
+        [
+            (0, None, 1),  # empty file
+            (1, None, 2),  # no center line
+            (4, None, 5),  # truncated: 2 of 3 offset lines
+            (5, (0, "3\n"), 1),  # header without the radius
+            (5, (1, "0.1 nan 0.2\n"), 2),
+            (5, (3, "0.01 0.02\n"), 4),  # a 2-coordinate offset
+        ],
+    )
+    def test_malformed_file_names_file_and_line(self, tmp_path, keep, replace, line):
+        f = tmp_path / "pattern.txt"
+        save_pattern(make_pattern([0.3, -0.2, 1.1], 3, seed=9), f)
+        lines = f.read_text().splitlines(keepends=True)[:keep]
+        if replace is not None:
+            lines[replace[0]] = replace[1]
+        f.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{f}: line {line}:")):
+            load_pattern(f)
 
 
 class TestEmbed:

@@ -9,15 +9,16 @@ from pcbdet.classifier import (
     accuracy,
     forward_logits,
     init_weights,
+    insertion_predictions,
     load_weights,
     loss_gradient_wrt_point,
-    mean_cross_entropy,
     pool_vector,
     predict,
     save_weights,
     train,
 )
 from pcbdet.geometry import Dataset, distance_gradient, generate_shape
+from tests.oracles import mean_cross_entropy
 
 
 def reference_forward(w, X):
@@ -90,6 +91,21 @@ class TestForward:
             forward_logits(small_weights, np.vstack([X, c[None]])),
             forward_logits(small_weights, X),
         )
+
+
+class TestInsertionPredictions:
+    @pytest.mark.parametrize("n", [16, 255, 256, 257, 1024])
+    def test_bit_identical_to_forward_on_the_union(self, small_weights, n):
+        clouds = [generate_shape(k, n, seed=n + k) for k in range(3)]
+        pooled = np.stack([pool_vector(small_weights, X) for X in clouds])
+        far = np.array([2.5, -3.0, 4.0])
+        inside = 0.5 * clouds[0][n // 2]
+        for c in (far, inside):
+            preds, logits = insertion_predictions(small_weights, pooled, c)
+            for m, X in enumerate(clouds):
+                union = np.vstack([X, c[None]])
+                np.testing.assert_array_equal(logits[m], forward_logits(small_weights, union))
+                assert preds[m] == predict(small_weights, union)
 
 
 class TestPredict:
@@ -249,6 +265,13 @@ class TestWeightsIO:
         data = p.read_bytes().replace(b"PCBDET-WEIGHTS 1", b"PCBDET-WEIGHTS 9", 1)
         p.write_bytes(data)
         with pytest.raises(WeightsFormatError, match="version"):
+            load_weights(p)
+
+    def test_non_integer_version_rejected(self, tmp_path, small_weights):
+        p = tmp_path / "w.bin"
+        save_weights(small_weights, p)
+        p.write_bytes(p.read_bytes().replace(b"PCBDET-WEIGHTS 1", b"PCBDET-WEIGHTS x", 1))
+        with pytest.raises(WeightsFormatError, match="version x"):
             load_weights(p)
 
     def test_not_a_weights_file(self, tmp_path):

@@ -1,10 +1,12 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcbdet import pipeline
+from pcbdet.attack import AttackConfig
 from pcbdet.cli import main
 from pcbdet.config import RunConfig, default_config, load_config, save_config
 from pcbdet.classifier import load_weights, predict
@@ -18,6 +20,7 @@ from pcbdet.inference import (
 )
 from pcbdet.report import (
     STATS_HEADER,
+    read_report,
     read_statistics_csv,
     write_histogram_svg,
     write_report_json,
@@ -76,6 +79,20 @@ class TestConfig:
         path.write_text("attack_source = 3\nattack_target = 3\n")
         with pytest.raises(ValueError, match="differ"):
             load_config(path)
+
+    @pytest.mark.parametrize("line", ["poison_count = 0", "pattern_points = 0", "standoff = 0.0"])
+    def test_attack_section_validated_at_load(self, tmp_path, line):
+        path = tmp_path / "c.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError):
+            load_config(path)
+
+    def test_default_attack_section(self):
+        # RunConfig holds the attack module's own config dataclass.
+        assert default_config().attack == AttackConfig(
+            source=2, target=4, poison_count=15, pattern_points=3, pattern_radius=0.05, seed=3, standoff=0.2,
+            candidates=64,
+        )
 
 
 class TestGenData:
@@ -163,6 +180,21 @@ class TestReportArtifacts:
         assert a.read_bytes() == b.read_bytes()
         assert b"generated" not in a.read_bytes()
 
+    @pytest.mark.parametrize("inconclusive", [False, True])
+    def test_read_report_round_trip(self, tmp_path, inconclusive):
+        report = fake_report([0.0, 0.5, 1.2, 0.3, 0.1, 0.2, 0.4, 0.15])
+        report.order_pvalue = PValue(pv=1e-5, log_pv=np.log(1e-5), underflow=False)
+        if inconclusive:
+            report.fit = report.pvalue = report.order_pvalue = None
+            report.verdict = "inconclusive"
+        writers = {"s.csv": write_statistics_csv, "r.json": write_report_json, "h.svg": write_histogram_svg}
+        for name, write in writers.items():
+            write(report, tmp_path / name)
+        back = read_report(tmp_path / "s.csv", tmp_path / "r.json")
+        for name, write in writers.items():
+            write(back, tmp_path / f"back-{name}")
+            assert (tmp_path / f"back-{name}").read_bytes() == (tmp_path / name).read_bytes(), name
+
     def test_svg_optional_timestamp_comment(self, tmp_path):
         report = fake_report([0.0, 0.5, 1.2, 0.3, 0.1, 0.2, 0.4, 0.15])
         path = tmp_path / "t.svg"
@@ -231,8 +263,23 @@ class TestCliPipeline:
         code = main(["report", "--stats", str(out / "dp-statistics.csv"),
                      "--report", str(out / "dp-report.json"), "--out", str(svg)])
         assert code == 0
-        assert svg.exists()
+        assert svg.read_bytes() == (out / "dp-histogram.svg").read_bytes()
         assert "verdict" in capsys.readouterr().out
+        report = read_report(out / "dp-statistics.csv", out / "dp-report.json")
+        write_statistics_csv(report, tmp_path / "re.csv")
+        assert (tmp_path / "re.csv").read_bytes() == (out / "dp-statistics.csv").read_bytes()
+
+    def test_truncated_split_fails_at_the_boundary(self, mini_run, tmp_path, capsys):
+        cfg_path, out = mini_run
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        clean = copy / "clean.txt"
+        # The first record's header and 10 of its 64 points.
+        clean.write_text("".join(clean.read_text().splitlines(keepends=True)[:11]))
+        code = main(["detect", "--config", str(cfg_path), "--out", str(copy),
+                     "--weights", str(copy / "clean.weights")])
+        assert code == 1
+        assert f"error: {clean}: line 12:" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["detect", "--config", str(tmp_path / "missing.cfg"), "--weights", "x"])

@@ -3,16 +3,16 @@ import csv
 import numpy as np
 import pytest
 
-from pcbdet.classifier import ClassifierWeights, forward_logits, predict
+from pcbdet import estimation
+from pcbdet.classifier import ClassifierWeights, forward_logits, init_weights, predict
 from pcbdet.estimation import (
     EstimationParams,
     estimate_group_location,
     estimate_samplewise_location,
-    group_loss,
-    samplewise_loss,
     vote_target_class,
 )
 from pcbdet.geometry import generate_shape, point_to_cloud_distance
+from tests.oracles import group_loss, samplewise_loss
 from tests.test_classifier import constant_logit_weights
 
 
@@ -149,6 +149,22 @@ class TestAlgorithmMechanics:
         assert np.mean(flips) >= params.pi
         assert est.rho >= params.pi
 
+    def test_pools_each_cloud_once(self, monkeypatch):
+        # The re-check, rho and the vote all reuse the descent's pools.
+        calls = []
+        real_pool_vector = estimation.pool_vector
+
+        def counting_pool_vector(w, X):
+            calls.append(len(X))
+            return real_pool_vector(w, X)
+
+        monkeypatch.setattr(estimation, "pool_vector", counting_pool_vector)
+        w = constant_logit_weights([0.0, 2.0, 1.0])
+        clouds = [generate_shape(1, 16, seed=i) for i in range(4)]
+        est = estimate_group_location(w, clouds, 0, EstimationParams(tau_max=25, n_restarts=2), seed=5)
+        assert not est.failed and est.target == 1
+        assert calls == [16] * len(clouds)
+
     def test_deterministic(self):
         w = constant_logit_weights([0.0, 2.0, 1.0])
         clouds = [generate_shape(1, 16, seed=i) for i in range(3)]
@@ -157,6 +173,35 @@ class TestAlgorithmMechanics:
         b = estimate_group_location(w, clouds, 0, params, seed=11)
         np.testing.assert_array_equal(a.center, b.center)
         assert a.avg_source_distance == b.avg_source_distance
+
+
+class TestTraceLoss:
+    """The trace's loss column is the objective at the row's c and lambda."""
+
+    def test_group_search(self, tmp_path):
+        w = init_weights(num_classes=4, seed=3)
+        clouds = [generate_shape(1, 32, seed=i) for i in range(3)]
+        trace = tmp_path / "group.csv"
+        estimate_group_location(w, clouds, 1, EstimationParams(tau_max=30, n_restarts=2), seed=4, trace_path=trace)
+        rows = read_trace(trace)
+        assert len(rows) == 60
+        for row in rows:
+            c = np.array([float(row["cx"]), float(row["cy"]), float(row["cz"])])
+            want = group_loss(w, clouds, 1, c, float(row["lambda"]))
+            assert float(row["loss"]) == pytest.approx(want, rel=1e-9)
+
+    def test_samplewise_search(self, tmp_path):
+        w = init_weights(num_classes=4, seed=3)
+        X = generate_shape(2, 32, seed=7)
+        trace = tmp_path / "sample.csv"
+        params = EstimationParams(tau_max=30, n_restarts=2)
+        estimate_samplewise_location(w, X, 2, 0, params, seed=6, trace_path=trace)
+        rows = read_trace(trace)
+        assert len(rows) == 60
+        for row in rows:
+            c = np.array([float(row["cx"]), float(row["cy"]), float(row["cz"])])
+            want = samplewise_loss(w, X, 2, 0, c, float(row["lambda"]))
+            assert float(row["loss"]) == pytest.approx(want, rel=1e-9)
 
 
 class TestVoting:

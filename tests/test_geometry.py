@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,3 +272,22 @@ class TestDatasetIO:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             Dataset(clouds=[np.zeros((4, 3))], labels=np.array([5]), num_classes=2)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 3\n0 0 0\n1 1 1\n", 4),  # truncated record: the file ends early
+            ("0 3\n0 0 0\n1 1 1", 4),  # same, without a final newline
+            ("0 2\n0 0 0\n1 2\n", 3),  # a 2-coordinate row
+            ("0 2\n0 0 0\n1 2 x\n", 3),  # not a number
+            ("0 2\n0 0 0\n1 nan 1\n", 3),
+            ("0 1\n0 0 0\n1 1\n-inf 0 0\n", 4),
+            ("0 2 7\n0 0 0\n0 0 0\n", 1),  # bad record header
+            ("0 0\n", 1),  # empty record
+        ],
+    )
+    def test_malformed_file_names_file_and_line(self, tmp_path, text, line):
+        p = tmp_path / "split.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line {line}:")):
+            load_dataset(p)

@@ -11,15 +11,14 @@ from pcbdet.inference import (
     ablation_statistics,
     combined_statistic,
     compute_r_s,
-    compute_r_t,
     compute_w,
     compute_z,
     detect,
     exclusion_set,
     fit_gamma_null,
-    gamma_cdf,
     order_statistic_pvalue,
 )
+from tests.oracles import gamma_cdf
 
 
 def make_stats(r_values, t_hats=None):
@@ -41,7 +40,8 @@ class TestBasicStatistics:
 
     def test_r_t_over_target_clouds(self):
         clouds = [np.array([[1.0, 0, 0]]), np.array([[1.0, 0, 0]]), np.array([[4.0, 0, 0]])]
-        assert compute_r_t([0, 0, 0], clouds) == pytest.approx(2.0, abs=1e-15)
+        # r_t is compute_r_s on the voted target's clouds.
+        assert compute_r_s([0, 0, 0], clouds) == pytest.approx(2.0, abs=1e-15)
 
     def test_z_all_parallel(self):
         g = np.array([1.0, 0, 0])
