@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pcbdet.classifier import ClassifierWeights, insertion_logits, pool_vector, predict
-from pcbdet.geometry import Dataset, as_cloud, as_point, point_to_cloud_distance
+from pcbdet.geometry import Dataset, as_cloud, as_point, cloud_distances, read_text
 
 __all__ = [
     "BackdoorPattern",
@@ -121,8 +121,8 @@ def choose_center(source_clouds, standoff: float, candidates: int, seed: int, we
     dirs = rng.normal(size=(int(candidates), 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     points = (1.0 + standoff) * dirs
-    avg = np.array([np.mean([point_to_cloud_distance(c, X) for X in source_clouds]) for c in points])
-    order = np.argsort(avg, kind="stable")
+    dists, _ = cloud_distances(points, [as_cloud(X) for X in source_clouds])
+    order = np.argsort(dists.mean(axis=1), kind="stable")
     if weights is None:
         return points[order[0]]
     near = order[: max(1, int(len(order) * NEAR_FRACTION))]
@@ -178,8 +178,8 @@ def save_pattern(pattern: BackdoorPattern, path) -> None:
 def load_pattern(path) -> BackdoorPattern:
     """Read a pattern file; a malformed or truncated one raises ValueError
     naming the file and the 1-based line."""
-    with open(path, "r", encoding="ascii") as fh:
-        rows = [(no, ln.split()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = read_text(path).split("\n")
+    rows = [(no, ln.split()) for no, ln in enumerate(lines, start=1) if ln.strip()]
     end = rows[-1][0] + 1 if rows else 1
 
     def row(k, types, what):
@@ -199,4 +199,7 @@ def load_pattern(path) -> BackdoorPattern:
         raise ValueError(f"{path}: line {rows[0][0]}: a pattern needs at least one point")
     center = row(1, (float,) * 3, "the center 'x y z'")
     offsets = [row(2 + i, (float,) * 3, f"offset {i + 1} of {n}, 'x y z'") for i in range(n)]
-    return BackdoorPattern(center=np.array(center), offsets=np.array(offsets), radius=radius)
+    try:
+        return BackdoorPattern(center=np.array(center), offsets=np.array(offsets), radius=radius)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

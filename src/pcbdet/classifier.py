@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,21 +71,25 @@ class ClassifierWeights:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4, self.b4]
 
     def validate(self) -> None:
-        shapes = [
-            (POINT_DIMS[0], POINT_DIMS[1]),
-            (POINT_DIMS[1],),
-            (POINT_DIMS[1], POINT_DIMS[2]),
-            (POINT_DIMS[2],),
-            (POINT_DIMS[2], HEAD_HIDDEN),
-            (HEAD_HIDDEN,),
-            (HEAD_HIDDEN, self.num_classes),
-            (self.num_classes,),
-        ]
-        for arr, want in zip(self.arrays(), shapes):
+        for arr, want in zip(self.arrays(), _weight_shapes(self.num_classes)):
             if arr.shape != want:
                 raise ValueError(f"weight shape mismatch: {arr.shape} != {want}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite parameter")
+
+
+def _weight_shapes(num_classes: int) -> list:
+    """Shapes of the parameter arrays of a num_classes network, in ClassifierWeights order."""
+    return [
+        (POINT_DIMS[0], POINT_DIMS[1]),
+        (POINT_DIMS[1],),
+        (POINT_DIMS[1], POINT_DIMS[2]),
+        (POINT_DIMS[2],),
+        (POINT_DIMS[2], HEAD_HIDDEN),
+        (HEAD_HIDDEN,),
+        (HEAD_HIDDEN, num_classes),
+        (num_classes,),
+    ]
 
 
 @dataclass
@@ -481,31 +486,36 @@ def save_weights(w: ClassifierWeights, path) -> None:
 
 
 def load_weights(path) -> ClassifierWeights:
+    """Read a weights file; a malformed one raises WeightsFormatError whose
+    message starts with the file path."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    buf = io.BytesIO(data)
+        buf = io.BytesIO(fh.read())
     header = buf.readline().decode("ascii", errors="replace").strip()
     parts = header.split()
     if len(parts) != 2 or parts[0] != WEIGHTS_MAGIC:
-        raise WeightsFormatError(f"not a weights file: header {header!r}")
+        raise WeightsFormatError(f"{path}: not a weights file: header {header!r}")
     if parts[1] != str(WEIGHTS_VERSION):
-        raise WeightsFormatError(f"unsupported weights version {parts[1]}")
+        raise WeightsFormatError(f"{path}: unsupported weights version {parts[1]}")
     try:
         meta = json.loads(buf.readline().decode("ascii"))
-        shapes = [tuple(s) for s in meta["shapes"]]
-    except (ValueError, KeyError) as exc:
-        raise WeightsFormatError(f"bad weights metadata: {exc}") from None
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        raw = buf.read(count * 8)
-        if len(raw) != count * 8:
-            raise WeightsFormatError("truncated weights file")
-        arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-    if buf.read(1):
-        raise WeightsFormatError("trailing bytes in weights file")
-    w = ClassifierWeights(*arrays)
-    w.validate()
-    if w.num_classes != meta["num_classes"]:
-        raise WeightsFormatError("metadata class count disagrees with array shapes")
+    except ValueError as exc:
+        raise WeightsFormatError(f"{path}: bad weights metadata: {exc}") from None
+    k = meta.get("num_classes") if isinstance(meta, dict) else None
+    if type(k) is not int or k < 1:
+        raise WeightsFormatError(f"{path}: weights metadata needs an integer num_classes >= 1")
+    shapes = _weight_shapes(k)
+    if meta.get("shapes") != [list(shape) for shape in shapes]:
+        raise WeightsFormatError(f"{path}: weights metadata shapes are not those of a {k}-class network")
+    counts = [math.prod(shape) for shape in shapes]
+    body = buf.read()
+    if len(body) < 8 * sum(counts):
+        raise WeightsFormatError(f"{path}: truncated weights file")
+    if len(body) > 8 * sum(counts):
+        raise WeightsFormatError(f"{path}: trailing bytes in weights file")
+    arrays = np.split(np.frombuffer(body, dtype="<f8"), np.cumsum(counts)[:-1])
+    w = ClassifierWeights(*(a.reshape(shape).copy() for a, shape in zip(arrays, shapes)))
+    try:
+        w.validate()
+    except ValueError as exc:
+        raise WeightsFormatError(f"{path}: {exc}") from None
     return w

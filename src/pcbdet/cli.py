@@ -27,7 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", required=True, help="run-config file")
         sp.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
-        sp.add_argument("--seed", type=int, default=None, help="override the stage's seed")
 
     sp = sub.add_parser("init-config", help="write a default config file")
     sp.add_argument("--config", required=True)
@@ -45,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("detect", help="run backdoor detection on a weights file")
     common(sp)
     sp.add_argument("--weights", required=True, help="classifier weights to inspect")
-    sp.add_argument("--phi", type=float, default=None, help="override detection threshold")
     sp.add_argument("--prefix", default="detect", help="output file prefix")
 
     sp = sub.add_parser("report", help="re-render statistics CSV into SVG and a summary")
@@ -72,24 +70,18 @@ def main(argv=None) -> int:
 
         if args.command == "gen-data":
             cfg = _load(args)
-            if args.seed is not None:
-                cfg.data.seed = args.seed
             manifest = pipeline.gen_data_stage(cfg, cfg.out_dir)
             print(f"splits written to {cfg.out_dir}: totals {manifest['totals']}")
             return EXIT_CLEAN
 
         if args.command == "train":
             cfg = _load(args)
-            if args.seed is not None:
-                cfg.train.seed = args.seed
             metrics = pipeline.train_stage(cfg, cfg.out_dir)
             print(f"trained; test accuracy {metrics['test_accuracy']:.4f}")
             return EXIT_CLEAN
 
         if args.command == "attack":
             cfg = _load(args)
-            if args.seed is not None:
-                cfg.attack.seed = args.seed
             metrics = pipeline.attack_stage(cfg, cfg.out_dir, clean_weights=args.weights)
             print(
                 f"attack {metrics['source']}->{metrics['target']}: "
@@ -100,10 +92,6 @@ def main(argv=None) -> int:
 
         if args.command == "detect":
             cfg = _load(args)
-            if args.seed is not None:
-                cfg.detect_seed = args.seed
-            if args.phi is not None:
-                cfg.phi = args.phi
             report = pipeline.detect_stage(cfg, args.weights, cfg.out_dir, prefix=args.prefix)
             pv = "n/a" if report.pvalue is None else report.pvalue.display()
             print(f"verdict: {report.verdict} (pv {pv}, phi {report.phi})")

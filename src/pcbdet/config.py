@@ -13,6 +13,7 @@ from pathlib import Path
 from pcbdet.attack import AttackConfig
 from pcbdet.classifier import TrainConfig
 from pcbdet.estimation import EstimationParams
+from pcbdet.geometry import read_text
 
 __all__ = ["DataConfig", "RunConfig", "load_config", "save_config", "default_config"]
 
@@ -84,24 +85,28 @@ _COMMENTS = {
 
 
 def load_config(path) -> RunConfig:
+    """Read a config file; every error names the file, and a line-level one
+    (syntax, unknown key, unparsable value) also the 1-based line."""
     cfg = RunConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _SCHEMA:
-                raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-            attr_path, typ = _SCHEMA[key]
-            try:
-                parsed = typ(value)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad {typ.__name__} value {value!r}") from None
-            setattr(*_owner(cfg, attr_path), parsed)
-    _revalidate(cfg)
+    for lineno, raw in enumerate(read_text(path, "utf-8").split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SCHEMA:
+            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+        attr_path, typ = _SCHEMA[key]
+        try:
+            parsed = typ(value)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: bad {typ.__name__} value {value!r}") from None
+        setattr(*_owner(cfg, attr_path), parsed)
+    try:
+        _revalidate(cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return cfg
 
 

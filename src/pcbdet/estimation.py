@@ -23,7 +23,7 @@ from pcbdet.classifier import (
     margin_cotangent,
     pool_vector,
 )
-from pcbdet.geometry import as_cloud
+from pcbdet.geometry import as_cloud, cloud_distances
 
 __all__ = [
     "EstimationParams",
@@ -73,7 +73,6 @@ class GroupEstimate:
     center: np.ndarray | None  # None means the search never became feasible
     target: int | None  # voted target class; None when failed
     rho: float  # misclassification fraction re-checked at center
-    avg_source_distance: float  # mean d(center, X) over the class subset
 
     @property
     def failed(self) -> bool:
@@ -85,27 +84,6 @@ class GroupEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _distance_state(c: np.ndarray, clouds):
-    """Distances and unit directions from each restart's c to each cloud.
-
-    c: (R, 3). Returns dists (R, M) and the summed subgradient (R, 3).
-    """
-    R = c.shape[0]
-    dists = np.empty((R, len(clouds)))
-    grad = np.zeros((R, 3))
-    for m, X in enumerate(clouds):
-        diff = c[:, None, :] - X[None, :, :]  # (R, n, 3)
-        d2 = np.einsum("rnd,rnd->rn", diff, diff)
-        idx = np.argmin(d2, axis=1)
-        rows = np.arange(R)
-        nearest = diff[rows, idx]  # (R, 3)
-        d = np.sqrt(d2[rows, idx])
-        dists[:, m] = d
-        safe = d > 1e-12
-        grad[safe] += nearest[safe] / d[safe, None]
-    return dists, grad
-
-
 def _descent(w, clouds, source, target, params, seed, trace_path):
     """Run the adaptive-penalty descent from n_restarts seeded inits.
 
@@ -113,9 +91,9 @@ def _descent(w, clouds, source, target, params, seed, trace_path):
     least a pi fraction of clouds misclassified away from source. With a
     target, feasibility means the (single) cloud is classified as target.
 
-    Returns (best_center, best_total_distance, preds), preds being the
-    exact prediction on each cloud with best_center inserted, or
-    (None, inf, None) when no recorded candidate passes the re-check.
+    Returns (best_center, preds), preds being the exact prediction on each
+    cloud with best_center inserted, or (None, None) when no recorded
+    candidate passes the re-check.
     """
     clouds = [as_cloud(X) for X in clouds]
     R = params.n_restarts
@@ -128,7 +106,7 @@ def _descent(w, clouds, source, target, params, seed, trace_path):
     best_c = np.zeros((R, 3))
 
     logits, cache = insertion_logits(w, pooled, c)  # (R, M, K)
-    dists, dist_grad = _distance_state(c, clouds)
+    _, units = cloud_distances(c, clouds)
 
     trace = open(trace_path, "w", encoding="ascii") if trace_path else None
     if trace:
@@ -136,7 +114,7 @@ def _descent(w, clouds, source, target, params, seed, trace_path):
     try:
         for tau in range(params.tau_max):
             g_net = insertion_gradient(w, cache, margin_cotangent(logits, source, target))  # (R, 3)
-            grad = g_net + lam[:, None] * dist_grad
+            grad = g_net + lam[:, None] * units.sum(axis=1)
             # The step is delta * grad, its length capped at delta: near a
             # learned trigger the margin gradient is steep enough that a
             # plain step leaves the trigger's basin at once.
@@ -144,7 +122,7 @@ def _descent(w, clouds, source, target, params, seed, trace_path):
             c = c - params.delta * grad / np.maximum(norm, 1.0)[:, None]
 
             logits, cache = insertion_logits(w, pooled, c)
-            dists, dist_grad = _distance_state(c, clouds)
+            dists, units = cloud_distances(c, clouds)
             rho = _flip_rate(np.argmax(logits, axis=-1), source, target)  # (R,)
             feasible = rho >= params.pi
             lam = np.where(feasible, np.minimum(lam * params.alpha, LAMBDA_CAP), lam / params.alpha)
@@ -173,8 +151,8 @@ def _descent(w, clouds, source, target, params, seed, trace_path):
         # trusted from the loop's last-ulp insertion logits.
         preds, _ = insertion_predictions(w, pooled, best_c[r])
         if _flip_rate(preds, source, target) >= params.pi:
-            return best_c[r].copy(), float(best_sum[r]), preds
-    return None, np.inf, None
+            return best_c[r].copy(), preds
+    return None, None
 
 
 def _flip_rate(preds: np.ndarray, source: int, target: int | None):
@@ -217,15 +195,14 @@ def estimate_group_location(
         raise ValueError("need at least one cloud")
     if not 0 <= source < w.num_classes:
         raise ValueError("source class out of range")
-    center, total, preds = _descent(w, clouds, source, None, params, seed, trace_path)
+    center, preds = _descent(w, clouds, source, None, params, seed, trace_path)
     if center is None:
-        return GroupEstimate(source=source, center=None, target=None, rho=0.0, avg_source_distance=np.inf)
+        return GroupEstimate(source=source, center=None, target=None, rho=0.0)
     return GroupEstimate(
         source=source,
         center=center,
         target=_vote(preds, source, w.num_classes),
         rho=float(_flip_rate(preds, source, None)),
-        avg_source_distance=total / len(clouds),
     )
 
 
@@ -259,5 +236,5 @@ def estimate_samplewise_location(
         raise ValueError("target must differ from source")
     if not 0 <= target < w.num_classes:
         raise ValueError("target class out of range")
-    center, _, _ = _descent(w, [X], source, target, params, seed, trace_path)
+    center, _ = _descent(w, [X], source, target, params, seed, trace_path)
     return center

@@ -18,8 +18,8 @@ __all__ = [
     "SHAPE_NAMES",
     "as_point",
     "as_cloud",
+    "cloud_distances",
     "point_to_cloud_distance",
-    "nearest_point_index",
     "distance_gradient",
     "normalize_cloud",
     "generate_shape",
@@ -27,9 +27,10 @@ __all__ = [
     "sample_mesh",
     "save_dataset",
     "load_dataset",
+    "read_text",
 ]
 
-# Coincidence threshold below which the distance subgradient is taken as zero.
+# Coincidence threshold: at or below this distance the subgradient is taken as zero.
 COINCIDENT_EPS = 1e-12
 
 # Degenerate-scale threshold for normalization.
@@ -97,36 +98,40 @@ class Dataset:
         return [X for X, lab in zip(self.clouds, self.labels) if lab == k]
 
 
+def cloud_distances(points: np.ndarray, clouds) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each point to each cloud, and its unit direction.
+
+    points is a (P, 3) array and each cloud an (n, 3) array, both already
+    validated (as_point / as_cloud); this is the one place a nearest point is
+    chosen. Returns dists (P, M) and units (P, M, 3): units[p, m] is
+    (points[p] - x*) / dists[p, m], with x* the point of clouds[m] nearest to
+    points[p] (lowest index on ties), or the zero vector where dists[p, m] is
+    at most COINCIDENT_EPS (any subgradient is valid there and zero avoids
+    dividing by a vanishing norm).
+    """
+    P = points.shape[0]
+    rows = np.arange(P)
+    dists = np.empty((P, len(clouds)))
+    units = np.zeros((P, len(clouds), 3))
+    for m, X in enumerate(clouds):
+        diff = points[:, None, :] - X[None, :, :]  # (P, n, 3)
+        d2 = np.einsum("pnd,pnd->pn", diff, diff)
+        idx = np.argmin(d2, axis=1)
+        d = np.sqrt(d2[rows, idx])
+        dists[:, m] = d
+        safe = d > COINCIDENT_EPS
+        units[safe, m] = diff[rows, idx][safe] / d[safe, None]
+    return dists, units
+
+
 def point_to_cloud_distance(c, X) -> float:
     """Minimum Euclidean distance from point c to any point of cloud X."""
-    c = as_point(c)
-    X = as_cloud(X)
-    d2 = np.sum((X - c) ** 2, axis=1)
-    return float(math.sqrt(d2.min()))
-
-
-def nearest_point_index(c, X) -> int:
-    """Index of the point of X nearest to c; ties go to the lowest index."""
-    c = as_point(c)
-    X = as_cloud(X)
-    d2 = np.sum((X - c) ** 2, axis=1)
-    return int(np.argmin(d2))
+    return float(cloud_distances(as_point(c)[None], [as_cloud(X)])[0][0, 0])
 
 
 def distance_gradient(c, X) -> np.ndarray:
-    """Subgradient of point_to_cloud_distance with respect to c.
-
-    Returns (c - x*) / ||c - x*|| with x* the nearest point (lowest index on
-    ties), or the zero vector when c coincides with x* (any subgradient is
-    valid there and zero avoids dividing by a vanishing norm).
-    """
-    c = as_point(c)
-    X = as_cloud(X)
-    diff = c - X[nearest_point_index(c, X)]
-    norm = float(np.linalg.norm(diff))
-    if norm < COINCIDENT_EPS:
-        return np.zeros(3)
-    return diff / norm
+    """Subgradient of point_to_cloud_distance with respect to c (see cloud_distances)."""
+    return cloud_distances(as_point(c)[None], [as_cloud(X)])[1][0, 0]
 
 
 def normalize_cloud(X) -> np.ndarray:
@@ -305,8 +310,7 @@ class TriangleMesh:
 
 def load_off_mesh(path) -> TriangleMesh:
     """Parse an ASCII OFF file with triangular faces."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.readlines()
+    raw = read_text(path).split("\n")
     # Skip blank and comment lines but keep real line numbers for errors.
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw)]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
@@ -398,6 +402,20 @@ def sample_mesh(mesh: TriangleMesh, n: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def read_text(path, encoding: str = "ascii") -> str:
+    """The file's text with universal newlines, as text-mode reading gives it;
+    a byte the encoding rejects raises ValueError naming the file and the
+    1-based line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not {encoding} text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
@@ -411,12 +429,12 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path, num_classes: int | None = None) -> Dataset:
-    """Read a dataset file; a malformed, truncated or non-finite record raises
-    ValueError naming the file and the 1-based line."""
+    """Read a dataset file; a malformed, truncated or non-finite record, or a
+    label outside [0, num_classes), raises ValueError naming the file and the
+    1-based line."""
     clouds: list = []
     labels: list = []
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     i = 0
     while i < len(lines):
         ln = lines[i].strip()
@@ -429,7 +447,10 @@ def load_dataset(path, num_classes: int | None = None) -> Dataset:
             raise ValueError(f"{path}: line {i + 1}: expected 'label n' record header") from None
         if n < 1:
             raise ValueError(f"{path}: line {i + 1}: a record needs at least one point")
-        rows = np.empty((n, 3))
+        if lab < 0 or (num_classes is not None and lab >= num_classes):
+            raise ValueError(f"{path}: line {i + 1}: label {lab} out of range")
+        # Never more rows than the file has lines left, whatever n claims.
+        rows = np.empty((min(n, len(lines) - i - 1), 3))
         for j in range(n):
             try:
                 x, y, z = lines[i + 1 + j].split()

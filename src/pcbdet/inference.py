@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from pcbdet.geometry import as_point, point_to_cloud_distance
+from pcbdet.geometry import as_cloud, as_point, cloud_distances
 
 __all__ = [
     "ClassStatistics",
@@ -119,10 +119,10 @@ def compute_r_s(c_hat, clouds) -> float:
 
     r_s on the source class's clouds; r_t on the voted target's clouds.
     """
-    c = as_point(c_hat)
     if len(clouds) < 1:
         raise ValueError("need at least one cloud")
-    return float(np.mean([point_to_cloud_distance(c, X) for X in clouds]))
+    dists, _ = cloud_distances(as_point(c_hat)[None], [as_cloud(X) for X in clouds])
+    return float(dists.mean())
 
 
 def compute_z(group_center, samplewise_centers) -> float:
@@ -169,14 +169,14 @@ def combined_statistic(w_s: float, r_t: float, r_s: float) -> float:
 
 
 def ablation_statistics(stats) -> list:
-    """The alternative statistic families (1/r_s, r_t/r_s, w/r_s) plus r.
+    """The alternative statistic families 1/r_s, r_t/r_s and w/r_s.
 
     Reporting only; the verdict always uses r. Failed classes map to zeros.
     """
     out = []
     for st in stats:
         if st.failed:
-            out.append({"inv_rs": 0.0, "rt_over_rs": 0.0, "w_over_rs": 0.0, "r": 0.0})
+            out.append({"inv_rs": 0.0, "rt_over_rs": 0.0, "w_over_rs": 0.0})
             continue
         denom = st.r_s if st.r_s > 0.0 else DENOM_EPS
         out.append(
@@ -184,7 +184,6 @@ def ablation_statistics(stats) -> list:
                 "inv_rs": 1.0 / denom,
                 "rt_over_rs": st.r_t / denom,
                 "w_over_rs": st.w / denom,
-                "r": st.r,
             }
         )
     return out

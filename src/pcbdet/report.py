@@ -1,7 +1,7 @@
 """Report artifacts: per-class statistics CSV, verdict JSON, histogram SVG.
 
 All emission is byte-deterministic: floats are written with repr (shortest
-round-trip form) and nothing carries a timestamp unless explicitly requested.
+round-trip form) and nothing carries a timestamp.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def read_report(stats_path, report_path) -> DetectionReport:
     )
 
 
-def write_histogram_svg(report: DetectionReport, path, bins: int = 20, timestamp: str | None = None) -> None:
+def write_histogram_svg(report: DetectionReport, path, bins: int = 20) -> None:
     """Histogram of the per-class r statistics, excluded classes highlighted."""
     values = [st.r for st in report.stats]
     excluded = set(report.fit.excluded) if report.fit else set()
@@ -153,8 +153,6 @@ def write_histogram_svg(report: DetectionReport, path, bins: int = 20, timestamp
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    if timestamp:
-        parts.append(f"<!-- generated {timestamp} -->")
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     parts.append(
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>'

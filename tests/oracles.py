@@ -4,11 +4,26 @@ Each one re-encodes whole clouds with plain forward passes, so it shares no
 cache or shortcut with the code under test.
 """
 
+import math
+
 import numpy as np
 from scipy import special
 
 from pcbdet.classifier import forward_logits
-from pcbdet.geometry import as_cloud, as_point, point_to_cloud_distance
+from pcbdet.geometry import COINCIDENT_EPS, as_cloud, as_point, point_to_cloud_distance
+
+
+def point_to_cloud(c, X):
+    """Distance from c to its nearest point of X (the first one on ties) and
+    the unit direction away from that point, zero within COINCIDENT_EPS."""
+    best, nearest = math.inf, None
+    for x in X:
+        d = math.dist(c, x)
+        if d < best:
+            best, nearest = d, x
+    if best <= COINCIDENT_EPS:
+        return best, [0.0, 0.0, 0.0]
+    return best, [(ci - xi) / best for ci, xi in zip(c, nearest)]
 
 
 def group_loss(w, clouds, source: int, c, lam: float) -> float:

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -272,6 +275,34 @@ class TestWeightsIO:
         save_weights(small_weights, p)
         p.write_bytes(p.read_bytes().replace(b"PCBDET-WEIGHTS 1", b"PCBDET-WEIGHTS x", 1))
         with pytest.raises(WeightsFormatError, match="version x"):
+            load_weights(p)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda head, meta, body: (head, [1, 2], body),  # a JSON list as the metadata
+            lambda head, meta, body: (head, {**meta, "shapes": 5}, body),
+            lambda head, meta, body: (head, {"shapes": meta["shapes"]}, body),  # no num_classes
+            lambda head, meta, body: (head, {**meta, "num_classes": "3"}, body),
+            lambda head, meta, body: (head, {**meta, "shapes": [["3", 64]] + meta["shapes"][1:]}, body),
+            lambda head, meta, body: (head, {**meta, "shapes": meta["shapes"][:7]}, body),
+            lambda head, meta, body: (head, {**meta, "num_classes": 4}, body),
+            lambda head, meta, body: (head, meta, body[:1000]),  # truncated
+            lambda head, meta, body: (head, meta, body + b"\0"),  # trailing bytes
+            lambda head, meta, body: (head, meta, np.float64(np.nan).tobytes() + body[8:]),
+            lambda head, meta, body: (head, "{", body),  # not JSON
+        ],
+        ids=["list", "shapes-int", "no-num-classes", "string-k", "string-dim", "seven-shapes", "k-mismatch",
+             "truncated", "trailing", "nan", "bad-json"],
+    )
+    def test_malformed_file_names_the_file(self, tmp_path, small_weights, corrupt):
+        p = tmp_path / "w.bin"
+        save_weights(small_weights, p)
+        head, meta, body = p.read_bytes().split(b"\n", 2)
+        head, meta, body = corrupt(head, json.loads(meta), body)
+        meta = meta if isinstance(meta, str) else json.dumps(meta)
+        p.write_bytes(head + b"\n" + meta.encode("ascii") + b"\n" + body)
+        with pytest.raises(WeightsFormatError, match="^" + re.escape(f"{p}: ")):
             load_weights(p)
 
     def test_not_a_weights_file(self, tmp_path):

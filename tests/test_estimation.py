@@ -12,6 +12,7 @@ from pcbdet.estimation import (
     vote_target_class,
 )
 from pcbdet.geometry import generate_shape, point_to_cloud_distance
+from pcbdet.inference import compute_r_s
 from tests.oracles import group_loss, samplewise_loss
 from tests.test_classifier import constant_logit_weights
 
@@ -129,7 +130,7 @@ class TestAlgorithmMechanics:
             if float(row["rho"]) >= params.pi:
                 c = np.array([float(row["cx"]), float(row["cy"]), float(row["cz"])])
                 best = min(best, sum(point_to_cloud_distance(c, X) for X in clouds))
-        assert est.avg_source_distance * len(clouds) == pytest.approx(best, rel=1e-9)
+        assert compute_r_s(est.center, clouds) * len(clouds) == pytest.approx(best, rel=1e-9)
 
     def test_failed_when_never_feasible(self):
         w = constant_logit_weights([5.0, 0.0, 0.0])  # always predicts source 0
@@ -172,7 +173,7 @@ class TestAlgorithmMechanics:
         a = estimate_group_location(w, clouds, 0, params, seed=11)
         b = estimate_group_location(w, clouds, 0, params, seed=11)
         np.testing.assert_array_equal(a.center, b.center)
-        assert a.avg_source_distance == b.avg_source_distance
+        assert compute_r_s(a.center, clouds) == compute_r_s(b.center, clouds)
 
 
 class TestTraceLoss:

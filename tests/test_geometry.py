@@ -12,16 +12,17 @@ from pcbdet.geometry import (
     Dataset,
     OffParseError,
     SHAPE_NAMES,
+    cloud_distances,
     distance_gradient,
     generate_shape,
     load_dataset,
     load_off_mesh,
-    nearest_point_index,
     normalize_cloud,
     point_to_cloud_distance,
     sample_mesh,
     save_dataset,
 )
+from tests.oracles import point_to_cloud
 
 finite_coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -103,6 +104,57 @@ class TestDistanceGradient:
             g = distance_gradient(c, X)
             assert np.linalg.norm(g - fd) <= 1e-4 * max(1.0, np.linalg.norm(fd))
             checked += 1
+
+
+class TestCloudDistances:
+    """The one nearest-point kernel against the brute-force oracle."""
+
+    def assert_matches_oracle(self, points, cloud_list, units_too=True):
+        dists, units = cloud_distances(points, cloud_list)
+        assert dists.shape == (len(points), len(cloud_list)) and units.shape == (len(points), len(cloud_list), 3)
+        for p, c in enumerate(points):
+            for m, X in enumerate(cloud_list):
+                d, u = point_to_cloud(c, X)
+                assert dists[p, m] == pytest.approx(d, rel=1e-12, abs=1e-150)
+                if units_too:
+                    np.testing.assert_allclose(units[p, m], u, rtol=1e-12, atol=1e-15)
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(6, 3)) * 2
+        self.assert_matches_oracle(points, [rng.normal(size=(n, 3)) for n in (1, 5, 40)])
+
+    def test_lowest_index_wins_a_tie(self):
+        points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        X = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        _, units = cloud_distances(points, [X])
+        np.testing.assert_array_equal(units[0, 0], [-1.0, 0.0, 0.0])
+        assert point_to_cloud(points[0], X)[1] == [-1.0, 0.0, 0.0]
+        self.assert_matches_oracle(points, [X])
+
+    def test_coincident_point_has_zero_direction(self):
+        X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        points = np.array([[4.0, 5.0, 6.0], [1.0, 2.0, 3.0 + 1e-13], [1.0, 2.0, 3.5]])
+        dists, units = cloud_distances(points, [X])
+        np.testing.assert_array_equal(units[:2, 0], np.zeros((2, 3)))
+        np.testing.assert_array_equal(units[2, 0], [0.0, 0.0, 1.0])
+        assert dists[0, 0] == 0.0
+        self.assert_matches_oracle(points, [X])
+
+    @given(st.lists(hnp.arrays(np.float64, (3,), elements=finite_coords), min_size=1, max_size=4),
+           st.lists(clouds(min_points=1, max_points=8), min_size=1, max_size=3))
+    def test_property_matches_oracle(self, points, cloud_list):
+        points = np.array(points)
+        self.assert_matches_oracle(points, cloud_list, units_too=False)
+        _, units = cloud_distances(points, cloud_list)
+        for p, c in enumerate(points):
+            for m, X in enumerate(cloud_list):
+                # Directions are compared where the nearest distinct point is
+                # clearly nearest: the oracle's correctly rounded distances may
+                # break a near-tie differently from the squared sums.
+                gaps = sorted(math.dist(c, x) for x in {tuple(x) for x in X})
+                if len(gaps) == 1 or gaps[1] - gaps[0] > 1e-9 * max(1.0, gaps[0]):
+                    np.testing.assert_allclose(units[p, m], point_to_cloud(c, X)[1], rtol=1e-12, atol=1e-12)
 
 
 class TestNormalize:
@@ -290,4 +342,24 @@ class TestDatasetIO:
         p = tmp_path / "split.txt"
         p.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{p}: line {line}:")):
+            load_dataset(p)
+
+    @pytest.mark.parametrize(
+        "text, num_classes, line",
+        [
+            ("0 1\n0 0 0\n2 1\n0 0 0\n", 2, 3),
+            ("1 1\n0 0 0\n-1 1\n0 0 0\n", 2, 3),
+            ("-1 1\n0 0 0\n", None, 1),
+        ],
+    )
+    def test_label_out_of_range_names_file_and_line(self, tmp_path, text, num_classes, line):
+        p = tmp_path / "split.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line {line}: label")):
+            load_dataset(p, num_classes)
+
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path):
+        p = tmp_path / "split.txt"
+        p.write_bytes(b"0 2\n0 0 0\n0 \xe9 0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3:")):
             load_dataset(p)

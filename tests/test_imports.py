@@ -1,4 +1,5 @@
-"""Every name a module under src/pcbdet imports is used there or re-exported."""
+"""Every name a module under src/pcbdet imports is used there or re-exported,
+and every module-level private function is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,40 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_helpers(sources: dict) -> list:
+    """'module:_name' for each module-level _name function that no module reads.
+
+    A function's references to itself do not count.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = node.name if isinstance(node, ast.FunctionDef) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.append((module, own))
+            refs = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    refs.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    refs.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    refs.add(sub.name)
+            used |= refs - {own}
+    return [f"{module}:{name}" for module, name in defined if name not in used]
+
+
+def test_checker_finds_dead_helpers():
+    sources = {
+        "a": "def _dead(n):\n    return _dead(n - 1)\ndef _live():\n    pass\ndef _remote():\n    pass\n"
+             "def public():\n    return _live()\n",
+        "b": "import a\na._remote()\n",
+    }
+    assert dead_private_helpers(sources) == ["a:_dead"]
+
+
+def test_no_dead_private_helpers():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert dead_private_helpers(sources) == []

@@ -83,12 +83,11 @@ class TestAblation:
         assert out["inv_rs"] == pytest.approx(2.0)
         assert out["rt_over_rs"] == pytest.approx(2.0)
         assert out["w_over_rs"] == pytest.approx(0.8)
-        assert out["r"] == pytest.approx(0.8)
 
     def test_failed_class_all_zero(self):
         st = ClassStatistics(source=0, t_hat=None, r_s=0.0, r_t=0.0, z=0.0, w=0.0, r=0.0)
         out = ablation_statistics([st])[0]
-        assert out == {"inv_rs": 0.0, "rt_over_rs": 0.0, "w_over_rs": 0.0, "r": 0.0}
+        assert out == {"inv_rs": 0.0, "rt_over_rs": 0.0, "w_over_rs": 0.0}
 
     def test_w_one_matches_inverse(self):
         st = ClassStatistics(source=0, t_hat=1, r_s=0.25, r_t=1.0, z=1.0, w=1.0, r=4.0)
