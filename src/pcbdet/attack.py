@@ -77,8 +77,12 @@ class AttackConfig:
             raise ValueError("poison count must be >= 1")
         if self.pattern_points < 1:
             raise ValueError("need at least one pattern point")
+        if self.pattern_radius <= 0:
+            raise ValueError("pattern radius must be positive")
         if self.standoff <= 0:
             raise ValueError("standoff must be positive")
+        if self.candidates < 1:
+            raise ValueError("need at least one center candidate")
 
 
 def make_pattern(center, n_points: int, seed: int, radius: float = GEOMETRY_RADIUS) -> BackdoorPattern:

@@ -42,6 +42,9 @@ __all__ = [
 POINT_DIMS = (3, 64, 128)
 HEAD_HIDDEN = 64
 
+# SGD momentum of train.
+MOMENTUM = 0.9
+
 WEIGHTS_MAGIC = "PCBDET-WEIGHTS"
 WEIGHTS_VERSION = 1
 
@@ -108,7 +111,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 0.01
     seed: int = 0
-    momentum: float = 0.9
     outlier_points: int = 2
     outlier_radius: float = 0.9
     logit_scale: float = 0.05
@@ -116,10 +118,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.outlier_points < 0:
             raise ValueError("outlier point count must be >= 0")
+        if self.outlier_radius < 0:
+            raise ValueError("outlier radius must be >= 0")
         if self.logit_scale <= 0:
             raise ValueError("logit scale must be positive")
 
@@ -443,7 +449,7 @@ def train(data: Dataset, cfg: TrainConfig) -> ClassifierWeights:
                     acc += g
             arrays = w.arrays()
             for v, a, g in zip(velocity, arrays, grads):
-                v *= cfg.momentum
+                v *= MOMENTUM
                 v -= cfg.learning_rate * g
                 a += v
     w.w4 *= cfg.logit_scale

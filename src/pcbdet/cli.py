@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, attack, detect, report. Exit codes from
-detect: 0 clean, 2 attacked, 3 inconclusive, 1 error.
+detect: 0 clean, 2 attacked, 3 inconclusive, 1 error (a usage error too).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("attack", help="poison the training set and train the attacked classifier")
     common(sp)
-    sp.add_argument("--weights", default=None, help="clean weights for the accuracy-delta reference")
+    sp.add_argument("--weights", required=True, help="clean weights: guide the trigger center, give the accuracy delta")
 
     sp = sub.add_parser("detect", help="run backdoor detection on a weights file")
     common(sp)
@@ -61,7 +61,11 @@ def _load(args):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which detect uses for "attacked".
+        return EXIT_CLEAN if exc.code == 0 else EXIT_ERROR
     try:
         if args.command == "init-config":
             save_config(default_config(), args.config)

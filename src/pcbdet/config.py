@@ -7,13 +7,14 @@ explicit, never wall-clock derived.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from pcbdet.attack import AttackConfig
 from pcbdet.classifier import TrainConfig
 from pcbdet.estimation import EstimationParams
-from pcbdet.geometry import read_text
+from pcbdet.geometry import MIN_CLOUD_POINTS, read_text
 
 __all__ = ["DataConfig", "RunConfig", "load_config", "save_config", "default_config"]
 
@@ -27,6 +28,14 @@ class DataConfig:
     reserve_per_class: int = 10
     points_per_cloud: int = 256
     seed: int = 1
+
+    def __post_init__(self):
+        if self.classes < 2:
+            raise ValueError("need at least two classes")
+        if min(self.train_per_class, self.test_per_class, self.clean_per_class, self.reserve_per_class) < 0:
+            raise ValueError("per-class counts must be >= 0")
+        if self.points_per_cloud < MIN_CLOUD_POINTS:
+            raise ValueError(f"need at least {MIN_CLOUD_POINTS} points per cloud")
 
 
 @dataclass
@@ -102,6 +111,8 @@ def load_config(path) -> RunConfig:
             parsed = typ(value)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: bad {typ.__name__} value {value!r}") from None
+        if typ is float and not math.isfinite(parsed):
+            raise ValueError(f"{path}: line {lineno}: non-finite value {value!r}")
         setattr(*_owner(cfg, attr_path), parsed)
     try:
         _revalidate(cfg)
@@ -122,13 +133,12 @@ def _owner(cfg: RunConfig, attr_path: str):
 def _revalidate(cfg: RunConfig) -> None:
     # Dataclass validators only run in __post_init__; re-run them on the
     # mutated sections.
+    cfg.data.__post_init__()
     cfg.train.__post_init__()
     cfg.attack.__post_init__()
     cfg.estimation.__post_init__()
     if not 0.0 < cfg.phi < 1.0:
         raise ValueError("phi must be in (0, 1)")
-    if cfg.data.classes < 2:
-        raise ValueError("need at least two classes")
 
 
 def save_config(cfg: RunConfig, path) -> None:

@@ -36,6 +36,9 @@ COINCIDENT_EPS = 1e-12
 # Degenerate-scale threshold for normalization.
 DEGENERATE_SCALE = 1e-9
 
+# Fewest points a synthetic cloud may have.
+MIN_CLOUD_POINTS = 16
+
 # Std of the Gaussian surface jitter applied by the synthetic generator,
 # in units of the pre-normalization shape scale.
 SHAPE_JITTER = 0.02
@@ -169,13 +172,10 @@ def _cube(rng, n):
     uv = rng.uniform(-1.0, 1.0, size=(n, 2))
     pts = np.empty((n, 3))
     axis = face // 2
-    sign = np.where(face % 2 == 0, 1.0, -1.0)
-    for i in range(n):
-        a = axis[i]
-        others = [j for j in range(3) if j != a]
-        pts[i, a] = sign[i]
-        pts[i, others[0]] = uv[i, 0]
-        pts[i, others[1]] = uv[i, 1]
+    rows = np.arange(n)
+    pts[rows, axis] = np.where(face % 2 == 0, 1.0, -1.0)
+    # uv fills the two other coordinates in ascending axis order.
+    pts[rows[:, None], np.array([[1, 2], [0, 2], [0, 1]])[axis]] = uv
     return pts
 
 
@@ -289,8 +289,8 @@ def generate_shape(class_id: int, n: int, seed: int) -> np.ndarray:
     """
     if not 0 <= class_id < len(SHAPE_NAMES):
         raise ValueError(f"unknown shape class {class_id}; have {len(SHAPE_NAMES)} families")
-    if n < 16:
-        raise ValueError("need at least 16 points per cloud")
+    if n < MIN_CLOUD_POINTS:
+        raise ValueError(f"need at least {MIN_CLOUD_POINTS} points per cloud")
     rng = np.random.default_rng([int(class_id), int(n), int(seed)])
     pts = _SHAPE_FUNCS[SHAPE_NAMES[class_id]](rng, n)
     pts = pts + SHAPE_JITTER * rng.normal(size=pts.shape)
@@ -428,7 +428,7 @@ def save_dataset(ds: Dataset, path) -> None:
                 fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
 
 
-def load_dataset(path, num_classes: int | None = None) -> Dataset:
+def load_dataset(path, num_classes: int) -> Dataset:
     """Read a dataset file; a malformed, truncated or non-finite record, or a
     label outside [0, num_classes), raises ValueError naming the file and the
     1-based line."""
@@ -447,7 +447,7 @@ def load_dataset(path, num_classes: int | None = None) -> Dataset:
             raise ValueError(f"{path}: line {i + 1}: expected 'label n' record header") from None
         if n < 1:
             raise ValueError(f"{path}: line {i + 1}: a record needs at least one point")
-        if lab < 0 or (num_classes is not None and lab >= num_classes):
+        if not 0 <= lab < num_classes:
             raise ValueError(f"{path}: line {i + 1}: label {lab} out of range")
         # Never more rows than the file has lines left, whatever n claims.
         rows = np.empty((min(n, len(lines) - i - 1), 3))
@@ -465,6 +465,4 @@ def load_dataset(path, num_classes: int | None = None) -> Dataset:
         clouds.append(rows)
         labels.append(lab)
         i += 1 + n
-    if num_classes is None:
-        num_classes = int(max(labels)) + 1 if labels else 0
     return Dataset(clouds=clouds, labels=np.asarray(labels), num_classes=num_classes)

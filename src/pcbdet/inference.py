@@ -102,16 +102,35 @@ class PValue:
 
 @dataclass
 class DetectionReport:
+    """The statistics, the null fit and the p-values; the verdict and the
+    other summaries are derived from them."""
+
     stats: list  # ClassStatistics per class
-    fit: NullFit | None
-    s_max: int
+    fit: NullFit | None  # None when the verdict is inconclusive
     pvalue: PValue | None  # calibrated; the verdict compares it with phi
     phi: float
-    verdict: str
-    inferred_target: int | None
-    num_classes: int
     num_excluded: int
     order_pvalue: PValue | None = None  # uncalibrated 1 - G(r_max)^m
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.stats)
+
+    @property
+    def s_max(self) -> int:
+        """Class of the largest statistic (lowest index on ties)."""
+        return int(np.argmax([st.r for st in self.stats]))
+
+    @property
+    def verdict(self) -> str:
+        if self.pvalue is None:
+            return VERDICT_INCONCLUSIVE
+        return VERDICT_ATTACKED if self.pvalue.pv < self.phi else VERDICT_CLEAN
+
+    @property
+    def inferred_target(self) -> int | None:
+        """The top class's voted target when attacked, else None."""
+        return self.stats[self.s_max].t_hat if self.verdict == VERDICT_ATTACKED else None
 
 
 def compute_r_s(c_hat, clouds) -> float:
@@ -333,7 +352,6 @@ def detect(stats, phi: float = 0.05) -> DetectionReport:
     (calibrated_pvalue). Attacked iff the calibrated pv < phi, which makes
     the false-alarm rate on i.i.d. Gamma statistics about phi.
     """
-    K = len(stats)
     r = np.array([st.r for st in stats])
     s_max = int(np.argmax(r))
 
@@ -351,32 +369,13 @@ def detect(stats, phi: float = 0.05) -> DetectionReport:
         except DegenerateNullError:
             pass
     if fit is None:
-        return DetectionReport(
-            stats=list(stats),
-            fit=None,
-            s_max=s_max,
-            pvalue=None,
-            phi=phi,
-            verdict=VERDICT_INCONCLUSIVE,
-            inferred_target=None,
-            num_classes=K,
-            num_excluded=len(excluded),
-        )
+        return DetectionReport(stats=list(stats), fit=None, pvalue=None, phi=phi, num_excluded=len(excluded))
     fit = NullFit(shape=fit.shape, scale=fit.scale, excluded=tuple(sorted(excluded)), values=fit.values)
     r_max = float(r[s_max])
     num_top = sum(1 for s in excluded if r[s] > 0.0)
     order_pv = order_statistic_pvalue(fit, r_max, len(null) + num_top, num_top)
     pv = calibrated_pvalue(fit, r_max, len(null), num_top)
-    attacked = pv < phi
+    pvalue = PValue(pv=pv, log_pv=math.log(pv), underflow=False)
     return DetectionReport(
-        stats=list(stats),
-        fit=fit,
-        s_max=s_max,
-        pvalue=PValue(pv=pv, log_pv=math.log(pv), underflow=False),
-        phi=phi,
-        verdict=VERDICT_ATTACKED if attacked else VERDICT_CLEAN,
-        inferred_target=stats[s_max].t_hat if attacked else None,
-        num_classes=K,
-        num_excluded=len(excluded),
-        order_pvalue=order_pv,
+        stats=list(stats), fit=fit, pvalue=pvalue, phi=phi, num_excluded=len(excluded), order_pvalue=order_pv
     )

@@ -56,7 +56,6 @@ __all__ = [
     "train_stage",
     "attack_stage",
     "assemble_statistics",
-    "run_detection",
     "detect_stage",
 ]
 
@@ -64,6 +63,9 @@ SPLIT_NAMES = ("train", "test", "clean", "reserve")
 
 # A class whose clean detection set cannot reach this size aborts detection.
 MIN_DETECTION_CLOUDS = 5
+
+# File name of the clean model that train writes.
+CLEAN_WEIGHTS = "clean.weights"
 
 
 class DetectionInputError(ValueError):
@@ -127,34 +129,30 @@ def _load_split(out_dir, name: str, num_classes: int) -> Dataset:
     return load_dataset(path, num_classes=num_classes)
 
 
-def train_stage(cfg: RunConfig, out_dir, weights_name: str = "clean.weights") -> dict:
+def train_stage(cfg: RunConfig, out_dir) -> dict:
     out = Path(out_dir)
     train_ds = _load_split(out, "train", cfg.data.classes)
     test_ds = _load_split(out, "test", cfg.data.classes)
     w = train(train_ds, cfg.train)
-    save_weights(w, out / weights_name)
-    metrics = {"test_accuracy": accuracy(w, test_ds), "weights": weights_name}
+    save_weights(w, out / CLEAN_WEIGHTS)
+    metrics = {"test_accuracy": accuracy(w, test_ds), "weights": CLEAN_WEIGHTS}
     with open(out / "train-metrics.json", "w", encoding="ascii") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return metrics
 
 
-def attack_stage(cfg: RunConfig, out_dir, clean_weights=None) -> dict:
+def attack_stage(cfg: RunConfig, out_dir, clean_weights) -> dict:
     """Poison, retrain, and record attack metrics.
 
     clean_weights (a path) supplies the reference model: it guides the
-    trigger center (choose_center) and gives the clean-accuracy delta;
-    without it the clean model is trained here with the same config.
+    trigger center (choose_center) and gives the clean-accuracy delta.
     """
     out = Path(out_dir)
     train_ds = _load_split(out, "train", cfg.data.classes)
     test_ds = _load_split(out, "test", cfg.data.classes)
     a = cfg.attack
-    if clean_weights is not None:
-        w_clean = load_weights(clean_weights)
-    else:
-        w_clean = train(train_ds, cfg.train)
+    w_clean = load_weights(clean_weights)
     source_clouds = train_ds.clouds_of_class(a.source)
     center = choose_center(source_clouds, a.standoff, a.candidates, a.seed, weights=w_clean)
     pattern = make_pattern(center, a.pattern_points, a.seed, radius=a.pattern_radius)
@@ -187,7 +185,7 @@ def attack_stage(cfg: RunConfig, out_dir, clean_weights=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_detection_sets(w: ClassifierWeights, clean: Dataset, reserve: Dataset | None, target_size: int):
+def build_detection_sets(w: ClassifierWeights, clean: Dataset, reserve: Dataset, target_size: int):
     """Per-class clean clouds the classifier gets right.
 
     Misclassified clouds are replaced from the reserve pool (also filtered to
@@ -197,7 +195,7 @@ def build_detection_sets(w: ClassifierWeights, clean: Dataset, reserve: Dataset 
     sets = {}
     for k in range(clean.num_classes):
         picked = [X for X in clean.clouds_of_class(k) if predict(w, X) == k]
-        if len(picked) < target_size and reserve is not None:
+        if len(picked) < target_size:
             for X in reserve.clouds_of_class(k):
                 if len(picked) >= target_size:
                     break
@@ -264,36 +262,14 @@ def assemble_statistics(w, detection_sets, params: EstimationParams, seed: int, 
     return stats
 
 
-def run_detection(
-    w: ClassifierWeights,
-    clean: Dataset,
-    reserve: Dataset | None,
-    params: EstimationParams,
-    phi: float,
-    seed: int,
-    clean_per_class: int,
-    trace_dir=None,
-) -> DetectionReport:
-    sets = build_detection_sets(w, clean, reserve, clean_per_class)
-    stats = assemble_statistics(w, sets, params, seed, trace_dir=trace_dir)
-    return detect(stats, phi=phi)
-
-
 def detect_stage(cfg: RunConfig, weights_path, out_dir, prefix: str = "detect") -> DetectionReport:
     out = Path(out_dir)
     w = load_weights(weights_path)
     clean = _load_split(out, "clean", cfg.data.classes)
-    reserve_path = out / "reserve.txt"
-    reserve = load_dataset(reserve_path, cfg.data.classes) if reserve_path.exists() else None
-    report = run_detection(
-        w,
-        clean,
-        reserve,
-        cfg.estimation,
-        cfg.phi,
-        cfg.detect_seed,
-        cfg.data.clean_per_class,
-    )
+    reserve = _load_split(out, "reserve", cfg.data.classes)
+    sets = build_detection_sets(w, clean, reserve, cfg.data.clean_per_class)
+    stats = assemble_statistics(w, sets, cfg.estimation, cfg.detect_seed)
+    report = detect(stats, phi=cfg.phi)
     write_statistics_csv(report, out / f"{prefix}-statistics.csv")
     write_report_json(report, out / f"{prefix}-report.json")
     write_histogram_svg(report, out / f"{prefix}-histogram.svg")

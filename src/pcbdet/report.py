@@ -23,6 +23,8 @@ __all__ = [
 
 STATS_HEADER = "class,t_hat,r_s,r_t,z,w,r,inv_rs,rt_over_rs,w_over_rs,excluded"
 
+HISTOGRAM_BINS = 20
+
 
 def _f(x: float) -> str:
     return repr(float(x))
@@ -97,7 +99,9 @@ def read_report(stats_path, report_path) -> DetectionReport:
     """The DetectionReport behind a statistics CSV and its report JSON.
 
     Writing it back reproduces both files byte for byte; the fit's values
-    are not stored, so fit.values comes back empty.
+    are not stored, so fit.values comes back empty. The JSON's verdict,
+    s_max, inferred_target and K are not read: the report derives them from
+    the statistics, pv and phi.
     """
     rows = read_statistics_csv(stats_path)
     with open(report_path, "r", encoding="ascii") as fh:
@@ -122,29 +126,25 @@ def read_report(stats_path, report_path) -> DetectionReport:
     return DetectionReport(
         stats=stats,
         fit=fit,
-        s_max=rep["s_max"],
         pvalue=pvalue(rep["pv"], rep["log_pv"]),
         phi=rep["phi"],
-        verdict=rep["verdict"],
-        inferred_target=rep["inferred_target"],
-        num_classes=rep["K"],
         num_excluded=rep["J"],
         order_pvalue=pvalue(rep.get("order_pv"), rep.get("order_log_pv")),
     )
 
 
-def write_histogram_svg(report: DetectionReport, path, bins: int = 20) -> None:
+def write_histogram_svg(report: DetectionReport, path) -> None:
     """Histogram of the per-class r statistics, excluded classes highlighted."""
     values = [st.r for st in report.stats]
     excluded = set(report.fit.excluded) if report.fit else set()
     hi = max(max(values), 1e-9)
     width, height, margin = 480, 280, 40
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
-    edges = [hi * i / bins for i in range(bins + 1)]
-    counts = [0] * bins
-    counts_ex = [0] * bins
+    edges = [hi * i / HISTOGRAM_BINS for i in range(HISTOGRAM_BINS + 1)]
+    counts = [0] * HISTOGRAM_BINS
+    counts_ex = [0] * HISTOGRAM_BINS
     for st in report.stats:
-        b = min(int(st.r / hi * bins), bins - 1)
+        b = min(int(st.r / hi * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)
         counts[b] += 1
         if st.source in excluded:
             counts_ex[b] += 1
@@ -158,8 +158,8 @@ def write_histogram_svg(report: DetectionReport, path, bins: int = 20) -> None:
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>'
     )
     parts.append(f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>')
-    bar_w = plot_w / bins
-    for b in range(bins):
+    bar_w = plot_w / HISTOGRAM_BINS
+    for b in range(HISTOGRAM_BINS):
         total = counts[b]
         if total == 0:
             continue
@@ -177,8 +177,8 @@ def write_histogram_svg(report: DetectionReport, path, bins: int = 20) -> None:
                 f'<rect x="{x:.2f}" y="{height - margin - h_ex:.2f}" width="{bar_w:.2f}" height="{h_ex:.2f}" '
                 f'fill="#cc5544" stroke="black" stroke-width="0.5"/>'
             )
-    for i in (0, bins // 2, bins):
-        x = margin + plot_w * i / bins
+    for i in (0, HISTOGRAM_BINS // 2, HISTOGRAM_BINS):
+        x = margin + plot_w * i / HISTOGRAM_BINS
         parts.append(
             f'<text x="{x:.2f}" y="{height - margin + 16}" font-size="11" text-anchor="middle">{edges[i]:.2f}</text>'
         )

@@ -88,6 +88,35 @@ class TestConfig:
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "line, names_line",
+        [
+            ("delta = nan", True),
+            ("learning_rate = inf", True),
+            ("alpha = inf", True),
+            ("lambda0 = inf", True),
+            ("standoff = inf", True),
+            ("logit_scale = nan", True),
+            ("pattern_radius = -1", False),
+            ("outlier_radius = -2", False),
+            ("points_per_cloud = 8", False),
+            ("train_per_class = -1", False),
+            ("batch_size = 0", False),
+            ("center_candidates = 0", False),
+        ],
+    )
+    def test_bad_value_fails_at_load(self, tmp_path, line, names_line):
+        path = tmp_path / "c.cfg"
+        path.write_text("# run\n" + line + "\n")
+        prefix = f"{path}: line 2: " if names_line else f"{path}: "
+        with pytest.raises(ValueError, match="^" + re.escape(prefix)):
+            load_config(path)
+
+    def test_zero_counts_load(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("".join(f"{split}_per_class = 0\n" for split in ("train", "test", "clean", "reserve")))
+        assert load_config(path).data.train_per_class == 0
+
     def test_default_attack_section(self):
         # RunConfig holds the attack module's own config dataclass.
         assert default_config().attack == AttackConfig(
@@ -123,7 +152,7 @@ class TestGenData:
         assert train.num_classes == clean.num_classes == 8
 
 
-def fake_report(r_values, excluded=(1,), verdict="clean"):
+def fake_report(r_values, excluded=(1,)):
     stats = [
         ClassStatistics(source=i, t_hat=(i + 1) % len(r_values), r_s=0.5, r_t=0.4, z=0.3, w=0.6, r=v)
         for i, v in enumerate(r_values)
@@ -133,12 +162,8 @@ def fake_report(r_values, excluded=(1,), verdict="clean"):
     return DetectionReport(
         stats=stats,
         fit=fit,
-        s_max=int(np.argmax(r_values)),
         pvalue=PValue(pv=0.3, log_pv=np.log(0.3), underflow=False),
         phi=0.05,
-        verdict=verdict,
-        inferred_target=None,
-        num_classes=len(r_values),
         num_excluded=len(excluded),
     )
 
@@ -187,7 +212,6 @@ class TestReportArtifacts:
         report.order_pvalue = PValue(pv=1e-5, log_pv=np.log(1e-5), underflow=False)
         if inconclusive:
             report.fit = report.pvalue = report.order_pvalue = None
-            report.verdict = "inconclusive"
         writers = {"s.csv": write_statistics_csv, "r.json": write_report_json, "h.svg": write_histogram_svg}
         for name, write in writers.items():
             write(report, tmp_path / name)
@@ -280,6 +304,21 @@ class TestCliPipeline:
         code = main(["detect", "--config", str(tmp_path / "missing.cfg"), "--weights", "x"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["detect", "--config", "run.cfg"], 1, "required: --weights"),
+            (["attack", "--config", "run.cfg"], 1, "required: --weights"),
+            (["train", "--config", "run.cfg", "--bogus"], 1, "unrecognized arguments: --bogus"),
+            (["--help"], 0, ""),
+        ],
+        ids=["detect-no-weights", "attack-no-weights", "unknown-flag", "help"],
+    )
+    def test_usage_exit_code(self, capsys, argv, code, message):
+        # argparse's own status for a usage error, 2, is detect's "attacked".
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
 
     def test_init_config(self, tmp_path):
         path = tmp_path / "default.cfg"

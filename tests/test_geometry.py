@@ -308,7 +308,7 @@ class TestDatasetIO:
         )
         p = tmp_path / "split.txt"
         save_dataset(ds, p)
-        back = load_dataset(p)
+        back = load_dataset(p, 2)
         assert back.num_classes == 2
         assert list(back.labels) == [0, 1]
         for a, b in zip(ds.clouds, back.clouds):
@@ -318,7 +318,7 @@ class TestDatasetIO:
         ds = Dataset(clouds=[generate_shape(2, 20, 9)], labels=np.array([0]), num_classes=1)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         save_dataset(ds, p1)
-        save_dataset(load_dataset(p1), p2)
+        save_dataset(load_dataset(p1, 1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_label_validation(self):
@@ -342,14 +342,15 @@ class TestDatasetIO:
         p = tmp_path / "split.txt"
         p.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{p}: line {line}:")):
-            load_dataset(p)
+            load_dataset(p, 2)
 
     @pytest.mark.parametrize(
         "text, num_classes, line",
         [
             ("0 1\n0 0 0\n2 1\n0 0 0\n", 2, 3),
             ("1 1\n0 0 0\n-1 1\n0 0 0\n", 2, 3),
-            ("-1 1\n0 0 0\n", None, 1),
+            ("-1 1\n0 0 0\n", 2, 1),
+            ("100000000000000000000000000000 1\n0 0 0\n", 2, 1),  # beyond int64
         ],
     )
     def test_label_out_of_range_names_file_and_line(self, tmp_path, text, num_classes, line):
@@ -362,4 +363,4 @@ class TestDatasetIO:
         p = tmp_path / "split.txt"
         p.write_bytes(b"0 2\n0 0 0\n0 \xe9 0\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: line 3:")):
-            load_dataset(p)
+            load_dataset(p, 1)

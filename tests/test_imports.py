@@ -1,5 +1,6 @@
 """Every name a module under src/pcbdet imports is used there or re-exported,
-and every module-level private function is referenced somewhere in the package."""
+and every module-level function is referenced somewhere in the package: a
+private one always, a public one unless UNCALLED_API names it."""
 
 import ast
 from pathlib import Path
@@ -36,17 +37,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_private_helpers(sources: dict) -> list:
-    """'module:_name' for each module-level _name function that no module reads.
+def module_functions(sources: dict) -> tuple:
+    """(defined, used): each module-level function as (module, name), and the
+    names the package reads.
 
-    A function's references to itself do not count.
+    A function's references to itself do not count, nor do the re-exports
+    of __init__.
     """
     defined, used = [], set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
             own = node.name if isinstance(node, ast.FunctionDef) else None
-            if own and own.startswith("_") and not own.startswith("__"):
+            if own:
                 defined.append((module, own))
+            if module == "__init__":
+                continue
             refs = set()
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
@@ -56,7 +61,24 @@ def dead_private_helpers(sources: dict) -> list:
                 elif isinstance(sub, ast.alias):
                     refs.add(sub.name)
             used |= refs - {own}
-    return [f"{module}:{name}" for module, name in defined if name not in used]
+    return defined, used
+
+
+def dead_private_helpers(sources: dict) -> list:
+    """'module:_name' for each module-level _name function that no module reads."""
+    defined, used = module_functions(sources)
+    private = [(m, name) for m, name in defined if name.startswith("_") and not name.startswith("__")]
+    return [f"{m}:{name}" for m, name in private if name not in used]
+
+
+def uncalled_public_functions(sources: dict) -> list:
+    """'module:name' for each public module-level function that no module reads."""
+    defined, used = module_functions(sources)
+    return [f"{m}:{name}" for m, name in defined if not name.startswith("_") and name not in used]
+
+
+def package_sources() -> dict:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
 
 
 def test_checker_finds_dead_helpers():
@@ -69,5 +91,30 @@ def test_checker_finds_dead_helpers():
 
 
 def test_no_dead_private_helpers():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert dead_private_helpers(sources) == []
+    assert dead_private_helpers(package_sources()) == []
+
+
+# Public functions that no package code calls, each with the reason it stays.
+UNCALLED_API = {
+    "point_to_cloud_distance": "perfbench traces it",
+    "vote_target_class": "perfbench traces it",
+    "loss_gradient_wrt_point": "the acceptance suite imports it",
+    "load_pattern": "the acceptance suite imports it",
+    "distance_gradient": "package API",
+    "load_off_mesh": "OFF ingestion for CAD data",
+    "sample_mesh": "OFF ingestion for CAD data",
+}
+
+
+def test_checker_finds_test_only_api():
+    sources = {
+        "a": "def lonely(n):\n    return lonely(n - 1)\ndef used():\n    pass\ndef _private():\n    pass\n",
+        "b": "from a import used\nused()\n",
+        "__init__": "from a import lonely\n",
+    }
+    assert uncalled_public_functions(sources) == ["a:lonely"]
+
+
+def test_no_test_only_api():
+    # Equality, not a subset: an exemption whose function gains a caller goes.
+    assert sorted(name.split(":")[1] for name in uncalled_public_functions(package_sources())) == sorted(UNCALLED_API)

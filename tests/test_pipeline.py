@@ -29,7 +29,7 @@ class TestDetectionSets:
         # constant prediction = class 1: only class 1 keeps its clouds
         w = constant_logit_weights([0.0, 1.0, 0.0])
         with pytest.raises(DetectionInputError, match="class 0"):
-            build_detection_sets(w, clean, None, target_size=6)
+            build_detection_sets(w, clean, split_of(0), target_size=6)
 
     def test_reserve_top_up(self):
         classes = 2
@@ -48,7 +48,7 @@ class TestDetectionSets:
         # capped at target_size even with more clouds available
         both = Dataset(clouds=clean.clouds, labels=np.zeros(len(clean), dtype=int), num_classes=1)
         w = constant_logit_weights([1.0])
-        sets = build_detection_sets(w, both, None, target_size=6)
+        sets = build_detection_sets(w, both, split_of(0, classes=1), target_size=6)
         assert len(sets[0]) == 6
 
 
