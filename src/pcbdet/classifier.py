@@ -268,8 +268,9 @@ def pool_vector(w: ClassifierWeights, X) -> np.ndarray:
 def insertion_logits(w: ClassifierWeights, pooled_base: np.ndarray, c: np.ndarray):
     """Logits of clouds with one point appended, from cached pools.
 
-    pooled_base: (M, 128) per-cloud pooled features; c: (..., 3) insertion
-    locations. Returns (logits, cache) where logits has shape (..., M, K).
+    pooled_base: (..., M, 128) per-cloud pooled features, its leading axes
+    broadcasting against those of c; c: (..., 3) insertion locations.
+    Returns (logits, cache) where logits has shape (..., M, K).
     Ties between the inserted point and an existing point go to the existing
     point (the insertion is appended after all cloud points).
     """
@@ -332,21 +333,22 @@ def loss_gradient_wrt_point(w: ClassifierWeights, X, c, spec: LossSpec) -> np.nd
     return insertion_gradient(w, cache, margin_cotangent(logits, spec.source, target))
 
 
-def margin_cotangent(logits: np.ndarray, source: int, target: int | None) -> np.ndarray:
+def margin_cotangent(logits: np.ndarray, source, target) -> np.ndarray:
     """d(margin)/d(logits) of the margin h(source) - h(rival), per logit row.
 
     The rival is target, or with target None the best class other than
-    source (ties to the lowest index). logits has shape (..., K).
+    source (ties to the lowest index). logits has shape (..., K); source and
+    target are class indices, or integer arrays broadcasting against
+    logits.shape[:-1] that give each problem of a stack its own classes.
     """
-    g = np.zeros_like(logits)
-    g[..., source] = 1.0
+    classes = np.arange(logits.shape[-1])
+    is_source = classes == np.asarray(source)[..., None]
+    g = np.broadcast_to(is_source, logits.shape).astype(logits.dtype)
     if target is None:
-        masked = logits.copy()
-        masked[..., source] = -np.inf
-        rival = np.argmax(masked, axis=-1)
+        rival = np.argmax(np.where(is_source, -np.inf, logits), axis=-1)
         np.put_along_axis(g, rival[..., None], -1.0, axis=-1)
     else:
-        g[..., target] = -1.0
+        g -= classes == np.asarray(target)[..., None]
     return g
 
 

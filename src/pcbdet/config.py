@@ -14,7 +14,7 @@ from pathlib import Path
 from pcbdet.attack import AttackConfig
 from pcbdet.classifier import TrainConfig
 from pcbdet.estimation import EstimationParams
-from pcbdet.geometry import MIN_CLOUD_POINTS, read_text
+from pcbdet.geometry import MIN_CLOUD_POINTS, SHAPE_NAMES, read_text
 
 __all__ = ["DataConfig", "RunConfig", "load_config", "save_config", "default_config"]
 
@@ -32,6 +32,8 @@ class DataConfig:
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError("need at least two classes")
+        if self.classes > len(SHAPE_NAMES):
+            raise ValueError(f"classes = {self.classes}: gen-data has only {len(SHAPE_NAMES)} shape families")
         if min(self.train_per_class, self.test_per_class, self.clean_per_class, self.reserve_per_class) < 0:
             raise ValueError("per-class counts must be >= 0")
         if self.points_per_cloud < MIN_CLOUD_POINTS:

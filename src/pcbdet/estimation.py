@@ -11,6 +11,7 @@ whose per-sample locations scatter instead of agreeing on one spot.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from pcbdet.geometry import as_cloud, cloud_distances
 __all__ = [
     "EstimationParams",
     "GroupEstimate",
+    "SearchProblem",
     "estimate_group_location",
     "vote_target_class",
     "estimate_samplewise_location",
@@ -79,83 +81,115 @@ class GroupEstimate:
         return self.center is None
 
 
+@dataclass(frozen=True)
+class SearchProblem:
+    """One trigger search: clouds, the putative source class and a seed.
+
+    target None makes it a group search (flip the clouds away from source);
+    a target makes it a sample-wise search (drive the cloud to target).
+    trace_path, when set, receives the per-iteration trace CSV.
+    """
+
+    clouds: list
+    source: int
+    seed: int
+    target: int | None = None
+    trace_path: object = None
+
+
 # ---------------------------------------------------------------------------
 # Shared descent loop
 # ---------------------------------------------------------------------------
 
 
-def _descent(w, clouds, source, target, params, seed, trace_path):
-    """Run the adaptive-penalty descent from n_restarts seeded inits.
+def _descent(w, problems, params):
+    """Run the adaptive-penalty descent of a stack of problems at once.
+
+    The problems share their cloud shapes and kind (all group or all
+    targeted); each keeps its own source, target, seed and trace, and its
+    n_restarts seeded inits. The state carries a leading problem axis:
+    problems x restarts x clouds. Every per-problem value is the one a stack
+    of one computes, bit for bit: the batched matmuls run the same per-slice
+    products and every reduction runs along the same axis as alone.
 
     target None selects the group (untargeted) variant: feasibility means at
     least a pi fraction of clouds misclassified away from source. With a
     target, feasibility means the (single) cloud is classified as target.
 
-    Returns (best_center, preds), preds being the exact prediction on each
-    cloud with best_center inserted, or (None, None) when no recorded
-    candidate passes the re-check.
+    Returns one (best_center, preds) per problem, preds being the exact
+    prediction on each cloud with best_center inserted, or (None, None) when
+    no recorded candidate passes the re-check.
     """
-    clouds = [as_cloud(X) for X in clouds]
-    R = params.n_restarts
-    pooled = np.stack([pool_vector(w, X) for X in clouds])  # (M, 128)
+    P, R = len(problems), params.n_restarts
+    clouds = [np.stack([as_cloud(pr.clouds[m]) for pr in problems]) for m in range(len(problems[0].clouds))]
+    pooled = np.stack([[pool_vector(w, X) for X in pr.clouds] for pr in problems])[:, None]  # (P, 1, M, 128)
+    # Class indices shaped to broadcast against the (P, R, M) prediction axes.
+    sources = np.array([pr.source for pr in problems])[:, None, None]
+    targets = None if problems[0].target is None else np.array([pr.target for pr in problems])[:, None, None]
 
-    rng = np.random.default_rng([int(seed), 0xA16])
-    c = rng.normal(size=(R, 3))
-    lam = np.full(R, params.lambda0)
-    best_sum = np.full(R, np.inf)
-    best_c = np.zeros((R, 3))
+    c = np.stack([np.random.default_rng([int(pr.seed), 0xA16]).normal(size=(R, 3)) for pr in problems])
+    lam = np.full((P, R), params.lambda0)
+    best_sum = np.full((P, R), np.inf)
+    best_c = np.zeros((P, R, 3))
 
-    logits, cache = insertion_logits(w, pooled, c)  # (R, M, K)
+    logits, cache = insertion_logits(w, pooled, c)  # (P, R, M, K)
     _, units = cloud_distances(c, clouds)
 
-    trace = open(trace_path, "w", encoding="ascii") if trace_path else None
-    if trace:
-        trace.write(TRACE_HEADER + "\n")
-    try:
+    with ExitStack() as files:
+        traces = [
+            (p, files.enter_context(open(pr.trace_path, "w", encoding="ascii")))
+            for p, pr in enumerate(problems)
+            if pr.trace_path
+        ]
+        for _, fh in traces:
+            fh.write(TRACE_HEADER + "\n")
         for tau in range(params.tau_max):
-            g_net = insertion_gradient(w, cache, margin_cotangent(logits, source, target))  # (R, 3)
-            grad = g_net + lam[:, None] * units.sum(axis=1)
+            g_net = insertion_gradient(w, cache, margin_cotangent(logits, sources, targets))  # (P, R, 3)
+            grad = g_net + lam[..., None] * units.sum(axis=-2)
             # The step is delta * grad, its length capped at delta: near a
             # learned trigger the margin gradient is steep enough that a
             # plain step leaves the trigger's basin at once.
-            norm = np.sqrt(np.einsum("rd,rd->r", grad, grad))
-            c = c - params.delta * grad / np.maximum(norm, 1.0)[:, None]
+            norm = np.sqrt(np.einsum("...d,...d->...", grad, grad))
+            c = c - params.delta * grad / np.maximum(norm, 1.0)[..., None]
 
             logits, cache = insertion_logits(w, pooled, c)
             dists, units = cloud_distances(c, clouds)
-            rho = _flip_rate(np.argmax(logits, axis=-1), source, target)  # (R,)
+            rho = _flip_rate(np.argmax(logits, axis=-1), sources, targets)  # (P, R)
             feasible = rho >= params.pi
             lam = np.where(feasible, np.minimum(lam * params.alpha, LAMBDA_CAP), lam / params.alpha)
-            total = dists.sum(axis=1)
-            improved = feasible & (total < best_sum) & np.all(np.isfinite(c), axis=1)
+            total = dists.sum(axis=-1)
+            improved = feasible & (total < best_sum) & np.all(np.isfinite(c), axis=-1)
             best_sum = np.where(improved, total, best_sum)
             best_c[improved] = c[improved]
 
-            if trace:
-                margins = (margin_cotangent(logits, source, target) * logits).sum(axis=-1)  # (R, M)
-                loss = margins.sum(axis=1) + lam * total
-                for r in range(R):
-                    trace.write(
-                        f"{r},{tau + 1},{float(loss[r])!r},{float(rho[r])!r},{float(lam[r])!r},"
-                        f"{float(c[r, 0])!r},{float(c[r, 1])!r},{float(c[r, 2])!r}\n"
-                    )
-    finally:
-        if trace:
-            trace.close()
+            if traces:
+                margins = (margin_cotangent(logits, sources, targets) * logits).sum(axis=-1)  # (P, R, M)
+                loss = margins.sum(axis=-1) + lam * total
+                for p, fh in traces:
+                    for r in range(R):
+                        fh.write(
+                            f"{r},{tau + 1},{float(loss[p, r])!r},{float(rho[p, r])!r},{float(lam[p, r])!r},"
+                            f"{float(c[p, r, 0])!r},{float(c[p, r, 1])!r},{float(c[p, r, 2])!r}\n"
+                        )
 
-    order = np.argsort(best_sum, kind="stable")
-    for r in order:
+    return [_recheck(w, pooled[p, 0], pr, best_sum[p], best_c[p], params) for p, pr in enumerate(problems)]
+
+
+def _recheck(w, pooled, problem, best_sum, best_c, params):
+    """(center, preds) of the closest recorded candidate that passes the
+    exact re-check, or (None, None)."""
+    for r in np.argsort(best_sum, kind="stable"):
         if not np.isfinite(best_sum[r]):
             break
         # Recorded candidates are re-validated with exact predictions, not
         # trusted from the loop's last-ulp insertion logits.
         preds, _ = insertion_predictions(w, pooled, best_c[r])
-        if _flip_rate(preds, source, target) >= params.pi:
+        if _flip_rate(preds, problem.source, problem.target) >= params.pi:
             return best_c[r].copy(), preds
     return None, None
 
 
-def _flip_rate(preds: np.ndarray, source: int, target: int | None):
+def _flip_rate(preds: np.ndarray, source, target):
     """Share of the clouds (last axis of preds) that the insertion flips.
 
     Group search (target None): predicted away from source. Sample-wise:
@@ -173,37 +207,59 @@ def _vote(preds: np.ndarray, source: int, num_classes: int) -> int:
     return int(np.argmax(counts))
 
 
-def estimate_group_location(
-    w: ClassifierWeights,
-    clouds,
-    source: int,
-    params: EstimationParams,
-    seed: int,
-    trace_path=None,
-) -> GroupEstimate:
-    """Estimate the common insertion location for one putative source class.
+def _solve(w, problems, params):
+    """(center, preds) of every problem; problems whose clouds have the same
+    shapes form one stack and run in one descent."""
+    stacks: dict = {}
+    for i, pr in enumerate(problems):
+        stacks.setdefault(tuple(np.shape(X) for X in pr.clouds), []).append(i)
+    out = [None] * len(problems)
+    for stack in stacks.values():
+        for i, result in zip(stack, _descent(w, [problems[i] for i in stack], params)):
+            out[i] = result
+    return out
 
-    Runs n_restarts descent trajectories from c ~ N(0, I), each step of
-    length at most delta; each iterate that flips at least a pi fraction of
-    the clouds away from the source class is a candidate, and the candidate
-    with the smallest total distance to the clouds wins. Returns a failed
-    estimate when no iterate of any restart is ever feasible. On success,
-    rho and the voted target (vote_target_class) come from the same exact
-    predictions that re-checked the winner.
-    """
-    if len(clouds) < 1:
+
+def _check_problem(w: ClassifierWeights, pr: SearchProblem) -> None:
+    if len(pr.clouds) < 1:
         raise ValueError("need at least one cloud")
-    if not 0 <= source < w.num_classes:
+    if not 0 <= pr.source < w.num_classes:
         raise ValueError("source class out of range")
-    center, preds = _descent(w, clouds, source, None, params, seed, trace_path)
-    if center is None:
-        return GroupEstimate(source=source, center=None, target=None, rho=0.0)
-    return GroupEstimate(
-        source=source,
-        center=center,
-        target=_vote(preds, source, w.num_classes),
-        rho=float(_flip_rate(preds, source, None)),
-    )
+
+
+def estimate_group_location(w: ClassifierWeights, problems, params: EstimationParams) -> list:
+    """Estimate the common insertion location of each group problem.
+
+    problems is a list of SearchProblem without target, one per putative
+    source class; the result is one GroupEstimate per problem, in order.
+    Runs n_restarts descent trajectories per problem from c ~ N(0, I), each
+    step of length at most delta; each iterate that flips at least a pi
+    fraction of the clouds away from the source class is a candidate, and
+    the candidate with the smallest total distance to the clouds wins. A
+    problem none of whose iterates is ever feasible gets a failed estimate.
+    On success, rho and the voted target (vote_target_class) come from the
+    same exact predictions that re-checked the winner. Problems whose clouds
+    have the same shapes run as one stacked descent; the result of each is
+    the same as when it runs alone.
+    """
+    for pr in problems:
+        _check_problem(w, pr)
+        if pr.target is not None:
+            raise ValueError("a group problem has no target")
+    estimates = []
+    for pr, (center, preds) in zip(problems, _solve(w, problems, params)):
+        if center is None:
+            estimates.append(GroupEstimate(source=pr.source, center=None, target=None, rho=0.0))
+        else:
+            estimates.append(
+                GroupEstimate(
+                    source=pr.source,
+                    center=center,
+                    target=_vote(preds, pr.source, w.num_classes),
+                    rho=float(_flip_rate(preds, pr.source, None)),
+                )
+            )
+    return estimates
 
 
 def vote_target_class(w: ClassifierWeights, clouds, c_hat, source: int) -> int:
@@ -217,24 +273,22 @@ def vote_target_class(w: ClassifierWeights, clouds, c_hat, source: int) -> int:
     return _vote(preds, source, w.num_classes)
 
 
-def estimate_samplewise_location(
-    w: ClassifierWeights,
-    X,
-    source: int,
-    target: int,
-    params: EstimationParams,
-    seed: int,
-    trace_path=None,
-):
-    """Per-sample insertion location driving this one cloud to the voted target.
+def estimate_samplewise_location(w: ClassifierWeights, problems, params: EstimationParams) -> list:
+    """Per-sample insertion location driving each problem's cloud to its target.
 
-    Same restart / step / penalty machinery as the group search, with the
-    margin replaced by the targeted difference h(source) - h(target) and
-    feasibility by prediction equal to target. Returns the location or None.
+    problems is a list of SearchProblem with a target, usually one cloud
+    each. Same restart / step / penalty machinery as the group search, with
+    the margin replaced by the targeted difference h(source) - h(target) and
+    feasibility by prediction equal to target. Returns the location or None
+    per problem, in order; problems of equal cloud shapes share one stacked
+    descent without changing any result.
     """
-    if target == source:
-        raise ValueError("target must differ from source")
-    if not 0 <= target < w.num_classes:
-        raise ValueError("target class out of range")
-    center, _ = _descent(w, [X], source, target, params, seed, trace_path)
-    return center
+    for pr in problems:
+        _check_problem(w, pr)
+        if pr.target is None:
+            raise ValueError("a sample-wise problem needs a target")
+        if pr.target == pr.source:
+            raise ValueError("target must differ from source")
+        if not 0 <= pr.target < w.num_classes:
+            raise ValueError("target class out of range")
+    return [center for center, _ in _solve(w, problems, params)]

@@ -104,26 +104,30 @@ class Dataset:
 def cloud_distances(points: np.ndarray, clouds) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each point to each cloud, and its unit direction.
 
-    points is a (P, 3) array and each cloud an (n, 3) array, both already
-    validated (as_point / as_cloud); this is the one place a nearest point is
-    chosen. Returns dists (P, M) and units (P, M, 3): units[p, m] is
-    (points[p] - x*) / dists[p, m], with x* the point of clouds[m] nearest to
-    points[p] (lowest index on ties), or the zero vector where dists[p, m] is
-    at most COINCIDENT_EPS (any subgradient is valid there and zero avoids
-    dividing by a vanishing norm).
+    points is a (..., R, 3) array and clouds a sequence of M arrays of shape
+    (..., n_m, 3), all already validated (as_point / as_cloud); the leading
+    axes of every cloud broadcast against those of points, so one call serves
+    R points against M shared clouds as well as a stack of problems, each
+    pairing its own R points with its own M clouds. This is the one place a
+    nearest point is chosen. Returns dists (..., R, M) and units
+    (..., R, M, 3): units[..., r, m, :] is (points[..., r, :] - x*) /
+    dists[..., r, m], with x* the point of clouds[m] nearest to
+    points[..., r, :] (lowest index on ties), or the zero vector where the
+    distance is at most COINCIDENT_EPS (any subgradient is valid there and
+    zero avoids dividing by a vanishing norm).
     """
-    P = points.shape[0]
-    rows = np.arange(P)
-    dists = np.empty((P, len(clouds)))
-    units = np.zeros((P, len(clouds), 3))
+    lead = np.broadcast_shapes(points.shape[:-1], *(X.shape[:-2] + (1,) for X in clouds))
+    dists = np.empty(lead + (len(clouds),))
+    units = np.zeros(lead + (len(clouds), 3))
     for m, X in enumerate(clouds):
-        diff = points[:, None, :] - X[None, :, :]  # (P, n, 3)
-        d2 = np.einsum("pnd,pnd->pn", diff, diff)
-        idx = np.argmin(d2, axis=1)
-        d = np.sqrt(d2[rows, idx])
-        dists[:, m] = d
-        safe = d > COINCIDENT_EPS
-        units[safe, m] = diff[rows, idx][safe] / d[safe, None]
+        # Temporaries are (..., R, n_m, 3): one cloud at a time.
+        diff = points[..., :, None, :] - X[..., None, :, :]
+        d2 = np.einsum("...nd,...nd->...n", diff, diff)
+        idx = np.argmin(d2, axis=-1)[..., None]
+        d = np.sqrt(np.take_along_axis(d2, idx, axis=-1))[..., 0]
+        dists[..., m] = d
+        nearest = np.take_along_axis(diff, idx[..., None], axis=-2)[..., 0, :]
+        np.divide(nearest, d[..., None], out=units[..., m, :], where=(d > COINCIDENT_EPS)[..., None])
     return dists, units
 
 

@@ -33,6 +33,7 @@ from pcbdet.classifier import (
 from pcbdet.config import RunConfig
 from pcbdet.estimation import (
     EstimationParams,
+    SearchProblem,
     estimate_group_location,
     estimate_samplewise_location,
 )
@@ -129,10 +130,21 @@ def _load_split(out_dir, name: str, num_classes: int) -> Dataset:
     return load_dataset(path, num_classes=num_classes)
 
 
+def _load_test_split(out_dir, num_classes: int) -> Dataset:
+    """The test split, which train and attack score their models on, so it
+    must not be empty; checked before any training starts."""
+    test_ds = _load_split(out_dir, "test", num_classes)
+    if len(test_ds) == 0:
+        raise ValueError(
+            f"{Path(out_dir) / 'test.txt'}: empty test split; set test_per_class >= 1 and rerun gen-data"
+        )
+    return test_ds
+
+
 def train_stage(cfg: RunConfig, out_dir) -> dict:
     out = Path(out_dir)
     train_ds = _load_split(out, "train", cfg.data.classes)
-    test_ds = _load_split(out, "test", cfg.data.classes)
+    test_ds = _load_test_split(out, cfg.data.classes)
     w = train(train_ds, cfg.train)
     save_weights(w, out / CLEAN_WEIGHTS)
     metrics = {"test_accuracy": accuracy(w, test_ds), "weights": CLEAN_WEIGHTS}
@@ -150,7 +162,7 @@ def attack_stage(cfg: RunConfig, out_dir, clean_weights) -> dict:
     """
     out = Path(out_dir)
     train_ds = _load_split(out, "train", cfg.data.classes)
-    test_ds = _load_split(out, "test", cfg.data.classes)
+    test_ds = _load_test_split(out, cfg.data.classes)
     a = cfg.attack
     w_clean = load_weights(clean_weights)
     source_clouds = train_ds.clouds_of_class(a.source)
@@ -215,29 +227,39 @@ def build_detection_sets(w: ClassifierWeights, clean: Dataset, reserve: Dataset,
 def assemble_statistics(w, detection_sets, params: EstimationParams, seed: int, trace_dir=None):
     """Group + sample-wise estimation for every class, then the statistics.
 
+    The group searches of all classes run as one stacked call, and the
+    sample-wise searches of all clean clouds of the non-failed classes as a
+    second one; each search's result is the one it gets alone.
+
     Failed group estimates keep the r = 0 convention; their z plays no part
     in the similarity normalization.
     """
     K = w.num_classes
-    groups = []
-    for s in range(K):
-        trace = None if trace_dir is None else Path(trace_dir) / f"group-{s}.csv"
-        groups.append(estimate_group_location(w, detection_sets[s], s, params, seed=seed * 1000 + s, trace_path=trace))
+    groups = estimate_group_location(
+        w,
+        [
+            SearchProblem(
+                detection_sets[s],
+                s,
+                seed=seed * 1000 + s,
+                trace_path=None if trace_dir is None else Path(trace_dir) / f"group-{s}.csv",
+            )
+            for s in range(K)
+        ],
+        params,
+    )
+    live = [s for s in range(K) if not groups[s].failed]
+    samples = [
+        SearchProblem([X], s, seed=seed * 1_000_000 + s * 1000 + i, target=groups[s].target)
+        for s in live
+        for i, X in enumerate(detection_sets[s])
+    ]
+    centers = iter(estimate_samplewise_location(w, samples, params))
     # Failed classes contribute z = 0 to the normalization (no alignment
     # evidence); their own statistic is pinned to 0 regardless.
-    z_by_class = {}
-    for s in range(K):
-        est = groups[s]
-        if est.failed:
-            z_by_class[s] = 0.0
-            continue
-        centers = [
-            estimate_samplewise_location(
-                w, X, s, est.target, params, seed=seed * 1_000_000 + s * 1000 + i
-            )
-            for i, X in enumerate(detection_sets[s])
-        ]
-        z_by_class[s] = compute_z(est.center, centers)
+    z_by_class = {s: 0.0 for s in range(K)}
+    for s in live:
+        z_by_class[s] = compute_z(groups[s].center, [next(centers) for _ in detection_sets[s]])
     w_values = compute_w([z_by_class[s] for s in range(K)])
     stats = []
     for s in range(K):

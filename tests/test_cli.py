@@ -103,6 +103,7 @@ class TestConfig:
             ("train_per_class = -1", False),
             ("batch_size = 0", False),
             ("center_candidates = 0", False),
+            ("classes = 9", False),
         ],
     )
     def test_bad_value_fails_at_load(self, tmp_path, line, names_line):
@@ -299,6 +300,22 @@ class TestCliPipeline:
                      "--weights", str(copy / "clean.weights")])
         assert code == 1
         assert f"error: {clean}: line 12:" in capsys.readouterr().err
+
+    def test_empty_test_split_fails_before_training(self, tmp_path, capsys):
+        # test_per_class = 0 loads (detect-only runs need no test split), but
+        # train and attack score their models on it: both stop before training.
+        cfg = tiny_config(tmp_path / "run")
+        cfg.data.test_per_class = 0
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        assert main(["gen-data", "--config", str(cfg_path)]) == 0
+        out = Path(cfg.out_dir)
+        for argv in (["train"], ["attack", "--weights", str(out / "clean.weights")]):
+            capsys.readouterr()
+            assert main(argv[:1] + ["--config", str(cfg_path)] + argv[1:]) == 1
+            err = capsys.readouterr().err
+            assert f"error: {out / 'test.txt'}: " in err and "test_per_class" in err
+        assert not (out / "clean.weights").exists() and not (out / "poisoned.weights").exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["detect", "--config", str(tmp_path / "missing.cfg"), "--weights", "x"])

@@ -7,6 +7,7 @@ from pcbdet import estimation
 from pcbdet.classifier import ClassifierWeights, forward_logits, init_weights, predict
 from pcbdet.estimation import (
     EstimationParams,
+    SearchProblem,
     estimate_group_location,
     estimate_samplewise_location,
     vote_target_class,
@@ -43,6 +44,17 @@ def cloud_with_max_z(z, n=8, seed=0):
     X = rng.uniform(-0.5, 0.0, size=(n, 3))
     X[0, 2] = z
     return X
+
+
+def one_group(w, clouds, source, params, seed, trace_path=None):
+    """One group search, run as a stack of one."""
+    return estimate_group_location(w, [SearchProblem(clouds, source, seed, trace_path=trace_path)], params)[0]
+
+
+def one_sample(w, X, source, target, params, seed, trace_path=None):
+    """One sample-wise search, run as a stack of one."""
+    problem = SearchProblem([X], source, seed, target=target, trace_path=trace_path)
+    return estimate_samplewise_location(w, [problem], params)[0]
 
 
 def read_trace(path):
@@ -83,7 +95,7 @@ class TestAlgorithmMechanics:
         clouds.append(cloud_with_max_z(-0.5, seed=99))
         params = EstimationParams(pi=0.9, delta=0.01, tau_max=5, alpha=1.5, n_restarts=1)
         trace = tmp_path / "trace.csv"
-        estimate_group_location(w, clouds, source=0, params=params, seed=0, trace_path=trace)
+        one_group(w, clouds, source=0, params=params, seed=0, trace_path=trace)
         rows = read_trace(trace)
         assert [float(r["rho"]) for r in rows] == [0.9] * 5
         lams = [float(r["lambda"]) for r in rows]
@@ -98,7 +110,7 @@ class TestAlgorithmMechanics:
         clouds += [cloud_with_max_z(-0.5, seed=90 + i) for i in range(2)]
         params = EstimationParams(pi=0.9, delta=0.01, tau_max=4, alpha=1.5, n_restarts=1)
         trace = tmp_path / "trace.csv"
-        est = estimate_group_location(w, clouds, source=0, params=params, seed=0, trace_path=trace)
+        est = one_group(w, clouds, source=0, params=params, seed=0, trace_path=trace)
         rows = read_trace(trace)
         assert [float(r["rho"]) for r in rows] == [0.8] * 4
         lams = [float(r["lambda"]) for r in rows]
@@ -112,7 +124,7 @@ class TestAlgorithmMechanics:
         clouds = [generate_shape(0, 16, seed=i) for i in range(3)]
         params = EstimationParams(tau_max=30, n_restarts=2)
         trace = tmp_path / "trace.csv"
-        estimate_group_location(w, clouds, source=0, params=params, seed=1, trace_path=trace)
+        one_group(w, clouds, source=0, params=params, seed=1, trace_path=trace)
         assert all(float(r["lambda"]) > 0 for r in read_trace(trace))
 
     def test_best_candidate_is_closest_feasible_iterate(self, tmp_path):
@@ -123,7 +135,7 @@ class TestAlgorithmMechanics:
         clouds = [generate_shape(0, 16, seed=i) for i in range(3)]
         params = EstimationParams(tau_max=40, n_restarts=3)
         trace = tmp_path / "trace.csv"
-        est = estimate_group_location(w, clouds, source=0, params=params, seed=3, trace_path=trace)
+        est = one_group(w, clouds, source=0, params=params, seed=3, trace_path=trace)
         assert not est.failed
         best = np.inf
         for row in read_trace(trace):
@@ -135,7 +147,7 @@ class TestAlgorithmMechanics:
     def test_failed_when_never_feasible(self):
         w = constant_logit_weights([5.0, 0.0, 0.0])  # always predicts source 0
         clouds = [generate_shape(0, 16, seed=i) for i in range(3)]
-        est = estimate_group_location(w, clouds, source=0, params=EstimationParams(tau_max=20, n_restarts=2), seed=0)
+        est = one_group(w, clouds, source=0, params=EstimationParams(tau_max=20, n_restarts=2), seed=0)
         assert est.failed
         assert est.center is None and est.target is None and est.rho == 0.0
 
@@ -143,7 +155,7 @@ class TestAlgorithmMechanics:
         w = constant_logit_weights([0.0, 2.0, 1.0])
         clouds = [generate_shape(1, 16, seed=i) for i in range(4)]
         params = EstimationParams(tau_max=25, n_restarts=2)
-        est = estimate_group_location(w, clouds, source=0, params=params, seed=5)
+        est = one_group(w, clouds, source=0, params=params, seed=5)
         assert not est.failed
         # Independent re-check of the feasibility constraint from scratch.
         flips = [predict(w, np.vstack([X, est.center[None]])) != 0 for X in clouds]
@@ -162,7 +174,7 @@ class TestAlgorithmMechanics:
         monkeypatch.setattr(estimation, "pool_vector", counting_pool_vector)
         w = constant_logit_weights([0.0, 2.0, 1.0])
         clouds = [generate_shape(1, 16, seed=i) for i in range(4)]
-        est = estimate_group_location(w, clouds, 0, EstimationParams(tau_max=25, n_restarts=2), seed=5)
+        est = one_group(w, clouds, 0, EstimationParams(tau_max=25, n_restarts=2), seed=5)
         assert not est.failed and est.target == 1
         assert calls == [16] * len(clouds)
 
@@ -170,8 +182,8 @@ class TestAlgorithmMechanics:
         w = constant_logit_weights([0.0, 2.0, 1.0])
         clouds = [generate_shape(1, 16, seed=i) for i in range(3)]
         params = EstimationParams(tau_max=20, n_restarts=3)
-        a = estimate_group_location(w, clouds, 0, params, seed=11)
-        b = estimate_group_location(w, clouds, 0, params, seed=11)
+        a = one_group(w, clouds, 0, params, seed=11)
+        b = one_group(w, clouds, 0, params, seed=11)
         np.testing.assert_array_equal(a.center, b.center)
         assert compute_r_s(a.center, clouds) == compute_r_s(b.center, clouds)
 
@@ -183,7 +195,7 @@ class TestTraceLoss:
         w = init_weights(num_classes=4, seed=3)
         clouds = [generate_shape(1, 32, seed=i) for i in range(3)]
         trace = tmp_path / "group.csv"
-        estimate_group_location(w, clouds, 1, EstimationParams(tau_max=30, n_restarts=2), seed=4, trace_path=trace)
+        one_group(w, clouds, 1, EstimationParams(tau_max=30, n_restarts=2), seed=4, trace_path=trace)
         rows = read_trace(trace)
         assert len(rows) == 60
         for row in rows:
@@ -196,13 +208,87 @@ class TestTraceLoss:
         X = generate_shape(2, 32, seed=7)
         trace = tmp_path / "sample.csv"
         params = EstimationParams(tau_max=30, n_restarts=2)
-        estimate_samplewise_location(w, X, 2, 0, params, seed=6, trace_path=trace)
+        one_sample(w, X, 2, 0, params, seed=6, trace_path=trace)
         rows = read_trace(trace)
         assert len(rows) == 60
         for row in rows:
             c = np.array([float(row["cx"]), float(row["cy"]), float(row["cz"])])
             want = samplewise_loss(w, X, 2, 0, c, float(row["lambda"]))
             assert float(row["loss"]) == pytest.approx(want, rel=1e-9)
+
+
+class TestStacking:
+    """A problem's result is the same bits alone (a stack of one) as in a
+    stack, whatever else the stack holds."""
+
+    params = EstimationParams(tau_max=30, n_restarts=3)
+
+    @staticmethod
+    def count_stacks(monkeypatch):
+        sizes = []
+        real_descent = estimation._descent
+
+        def counting_descent(w, problems, params):
+            sizes.append(len(problems))
+            return real_descent(w, problems, params)
+
+        monkeypatch.setattr(estimation, "_descent", counting_descent)
+        return sizes
+
+    @staticmethod
+    def assert_same_point(a, b):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+
+    def test_group_search(self, tmp_path, monkeypatch):
+        # Random net 0 predicts class 1 for every cloud, so class 1's search
+        # fails. Classes 0 and 2 have two clouds, 1 and 3 three: two stacks.
+        w = init_weights(num_classes=4, seed=0)
+
+        def problems(tag):
+            return [
+                SearchProblem(
+                    [generate_shape(s, 32, seed=10 * s + i) for i in range(3 if s % 2 else 2)],
+                    s,
+                    seed=s,
+                    trace_path=tmp_path / f"{tag}-{s}.csv",
+                )
+                for s in range(4)
+            ]
+
+        alone = [estimate_group_location(w, [pr], self.params)[0] for pr in problems("alone")]
+        sizes = self.count_stacks(monkeypatch)
+        stacked = estimate_group_location(w, problems("stack"), self.params)
+        assert sizes == [2, 2]
+        assert [est.failed for est in stacked] == [False, True, False, False]
+        for a, b in zip(stacked, alone):
+            assert (a.source, a.target, a.rho) == (b.source, b.target, b.rho)
+            self.assert_same_point(a.center, b.center)
+        for s in range(4):
+            assert (tmp_path / f"stack-{s}.csv").read_bytes() == (tmp_path / f"alone-{s}.csv").read_bytes()
+
+    def test_samplewise_search(self, monkeypatch):
+        # Every (source, target) pair of random net 2, on clouds of 32 points
+        # for odd targets and 48 for even ones: two stacks, some searches fail.
+        w = init_weights(num_classes=4, seed=2)
+        problems = [
+            SearchProblem([generate_shape(s, 32 if t % 2 else 48, seed=7 * s + t)], s, seed=100 + 4 * s + t, target=t)
+            for s in range(4)
+            for t in range(4)
+            if t != s
+        ]
+        alone = [estimate_samplewise_location(w, [pr], self.params)[0] for pr in problems]
+        sizes = self.count_stacks(monkeypatch)
+        stacked = estimate_samplewise_location(w, problems, self.params)
+        assert sizes == [6, 6]
+        assert 0 < sum(c is None for c in stacked) < len(problems)
+        for a, b in zip(stacked, alone):
+            self.assert_same_point(a, b)
+
+    def test_empty_stack(self):
+        w = init_weights(num_classes=3, seed=0)
+        assert estimate_group_location(w, [], self.params) == []
+        assert estimate_samplewise_location(w, [], self.params) == []
 
 
 class TestVoting:
@@ -247,7 +333,7 @@ class TestSampleWise:
         params = EstimationParams(pi=1.0, delta=0.5, tau_max=1, alpha=1.5, lambda0=0.2, n_restarts=1)
         rng = np.random.default_rng([13, 0xA16])
         c0 = rng.normal(size=(1, 3))[0]
-        est = estimate_samplewise_location(w, X, source=0, target=1, params=params, seed=13)
+        est = one_sample(w, X, source=0, target=1, params=params, seed=13)
         expected = c0 - 0.5 * 0.2 * (c0 / np.linalg.norm(c0))
         np.testing.assert_allclose(est, expected, rtol=1e-12)
 
@@ -257,22 +343,31 @@ class TestSampleWise:
         w = constant_logit_weights([0.0, 0.0, 3.0])
         X = generate_shape(0, 16, seed=0)
         params = EstimationParams(tau_max=10, n_restarts=2)
-        assert estimate_samplewise_location(w, X, 0, 1, params, seed=0) is None
-        got = estimate_samplewise_location(w, X, 0, 2, params, seed=0)
+        assert one_sample(w, X, 0, 1, params, seed=0) is None
+        got = one_sample(w, X, 0, 2, params, seed=0)
         assert got is not None
 
     def test_deterministic(self):
         w = constant_logit_weights([0.0, 1.0, 0.0])
         X = generate_shape(2, 16, seed=4)
         params = EstimationParams(tau_max=15, n_restarts=2)
-        a = estimate_samplewise_location(w, X, 0, 1, params, seed=21)
-        b = estimate_samplewise_location(w, X, 0, 1, params, seed=21)
+        a = one_sample(w, X, 0, 1, params, seed=21)
+        b = one_sample(w, X, 0, 1, params, seed=21)
         np.testing.assert_array_equal(a, b)
 
     def test_same_target_rejected(self):
         w = constant_logit_weights([0.0, 1.0])
         with pytest.raises(ValueError):
-            estimate_samplewise_location(w, np.zeros((1, 3)), 0, 0, EstimationParams(tau_max=1), seed=0)
+            one_sample(w, np.zeros((1, 3)), 0, 0, EstimationParams(tau_max=1), seed=0)
+
+    def test_problem_kind_checked(self):
+        # A group search takes no target; a sample-wise search needs one.
+        w = constant_logit_weights([0.0, 1.0])
+        X = np.zeros((1, 3))
+        with pytest.raises(ValueError, match="no target"):
+            estimate_group_location(w, [SearchProblem([X], 0, seed=0, target=1)], EstimationParams(tau_max=1))
+        with pytest.raises(ValueError, match="needs a target"):
+            estimate_samplewise_location(w, [SearchProblem([X], 0, seed=0)], EstimationParams(tau_max=1))
 
 
 class TestParamsValidation:

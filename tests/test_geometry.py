@@ -141,6 +141,38 @@ class TestCloudDistances:
         assert dists[0, 0] == 0.0
         self.assert_matches_oracle(points, [X])
 
+    def test_stacked_form_matches_oracle(self):
+        # Two problems, each pairing its own 3 points with its own 2 clouds.
+        # Problem 0's first point ties between two points of its first cloud;
+        # two of problem 1's points lie on (or within COINCIDENT_EPS of) a
+        # point of its first cloud.
+        rng = np.random.default_rng(11)
+        points = np.array([
+            [[0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [2.0, 1.0, -1.0]],
+            [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0 + 1e-13], [0.0, 0.0, 2.0]],
+        ])
+        clouds = [
+            np.stack([
+                [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 0.0, 0.0]],
+            ]),
+            rng.normal(size=(2, 5, 3)),
+        ]
+        dists, units = cloud_distances(points, clouds)
+        assert dists.shape == (2, 3, 2) and units.shape == (2, 3, 2, 3)
+        for p in range(2):
+            for r in range(3):
+                for m, X in enumerate(clouds):
+                    d, u = point_to_cloud(points[p, r], X[p])
+                    assert dists[p, r, m] == pytest.approx(d, rel=1e-12, abs=1e-150)
+                    np.testing.assert_allclose(units[p, r, m], u, rtol=1e-12, atol=1e-15)
+            # Each problem's slice is the bits of its own unstacked call.
+            alone = cloud_distances(points[p], [X[p] for X in clouds])
+            assert dists[p].tobytes() == alone[0].tobytes() and units[p].tobytes() == alone[1].tobytes()
+        np.testing.assert_array_equal(units[0, 0, 0], [-1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(units[1, :2, 0], np.zeros((2, 3)))
+        assert dists[1, 0, 0] == 0.0
+
     @given(st.lists(hnp.arrays(np.float64, (3,), elements=finite_coords), min_size=1, max_size=4),
            st.lists(clouds(min_points=1, max_points=8), min_size=1, max_size=3))
     def test_property_matches_oracle(self, points, cloud_list):

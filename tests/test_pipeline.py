@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pcbdet.classifier import predict
-from pcbdet.estimation import EstimationParams
+from pcbdet.classifier import init_weights, predict
+from pcbdet.estimation import EstimationParams, SearchProblem, estimate_group_location
 from pcbdet.geometry import Dataset, generate_shape
 from pcbdet.pipeline import (
     DetectionInputError,
@@ -75,6 +75,19 @@ class TestAssembleStatistics:
         a = assemble_statistics(w, sets, params, seed=3)
         b = assemble_statistics(w, sets, params, seed=3)
         assert [(s.r, s.t_hat, s.w) for s in a] == [(s.r, s.t_hat, s.w) for s in b]
+
+
+    def test_group_traces_match_searches_run_alone(self, tmp_path):
+        # The group searches of all classes run as one stack; each trace file
+        # holds the bytes of the class's search run on its own.
+        w = init_weights(num_classes=3, seed=2)
+        sets = {k: [generate_shape(k, 24, seed=i) for i in range(3)] for k in range(3)}
+        params = EstimationParams(tau_max=15, n_restarts=2)
+        assemble_statistics(w, sets, params, seed=3, trace_dir=tmp_path)
+        for s in range(3):
+            alone = tmp_path / f"alone-{s}.csv"
+            estimate_group_location(w, [SearchProblem(sets[s], s, seed=3 * 1000 + s, trace_path=alone)], params)
+            assert (tmp_path / f"group-{s}.csv").read_bytes() == alone.read_bytes()
 
 
 class TestGenerateSplits:
