@@ -197,24 +197,22 @@ def _affine_rows(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
             out[s : s + m] = (padded @ W)[:m]
         else:
             out[s : s + m] = chunk @ W
-    return out + b
+    out += b
+    return out
 
 
 def _point_features(w: ClassifierWeights, pts: np.ndarray):
-    """Per-point feature stack with row-stable arithmetic; pts is (..., 3)."""
+    """Per-point activations (a1, a2) with row-stable arithmetic; pts is (..., 3).
+
+    The ReLUs run in place, so no pre-activation is kept: a > 0 exactly where
+    z > 0, which is all the backward pass needs.
+    """
     lead = pts.shape[:-1]
-    flat = pts.reshape(-1, 3)
-    z1 = _affine_rows(flat, w.w1, w.b1)
-    a1 = np.maximum(z1, 0.0)
-    z2 = _affine_rows(a1, w.w2, w.b2)
-    a2 = np.maximum(z2, 0.0)
-    d1, d2 = POINT_DIMS[1], POINT_DIMS[2]
-    return (
-        z1.reshape(*lead, d1),
-        a1.reshape(*lead, d1),
-        z2.reshape(*lead, d2),
-        a2.reshape(*lead, d2),
-    )
+    a1 = _affine_rows(pts.reshape(-1, 3), w.w1, w.b1)
+    np.maximum(a1, 0.0, out=a1)
+    a2 = _affine_rows(a1, w.w2, w.b2)
+    np.maximum(a2, 0.0, out=a2)
+    return a1.reshape(*lead, POINT_DIMS[1]), a2.reshape(*lead, POINT_DIMS[2])
 
 
 def _point_features_fast(w: ClassifierWeights, pts: np.ndarray):
@@ -242,7 +240,7 @@ def forward_logits(w: ClassifierWeights, X) -> np.ndarray:
     """Pre-softmax logits h(k|X) for a single cloud."""
     X = as_cloud(X)
     w.validate()
-    _, _, _, a2 = _point_features(w, X)
+    _, a2 = _point_features(w, X)
     pooled = a2.max(axis=0)
     _, _, logits = _head(w, pooled)
     return logits
@@ -261,7 +259,7 @@ def pool_vector(w: ClassifierWeights, X) -> np.ndarray:
     exploits to avoid re-encoding X at every iterate.
     """
     X = as_cloud(X)
-    _, _, _, a2 = _point_features(w, X)
+    _, a2 = _point_features(w, X)
     return a2.max(axis=0)
 
 
@@ -291,7 +289,7 @@ def insertion_predictions(w: ClassifierWeights, pooled_base: np.ndarray, c):
     forward_logits(w, X_m + {c}) bit for bit and preds[m] equals
     predict(w, X_m + {c}). Returns (preds (M,), logits (M, K)).
     """
-    _, _, _, feat = _point_features(w, as_point(c)[None, :])
+    _, feat = _point_features(w, as_point(c)[None, :])
     logits = np.stack([_head(w, np.maximum(pool, feat[0]))[2] for pool in pooled_base])
     return np.argmax(logits, axis=1), logits
 
@@ -359,15 +357,13 @@ def margin_cotangent(logits: np.ndarray, source, target) -> np.ndarray:
 
 def _batch_forward(w: ClassifierWeights, pts: np.ndarray):
     """pts: (B, n, 3). Returns logits plus everything backward needs."""
-    z1, a1, z2, a2 = _point_features(w, pts)
+    a1, a2 = _point_features(w, pts)
     pooled = a2.max(axis=1)  # (B, 128)
     winners = a2.argmax(axis=1)  # (B, 128), first index wins ties
     z3, a3, logits = _head(w, pooled)
     return {
         "pts": pts,
-        "z1": z1,
         "a1": a1,
-        "z2": z2,
         "a2": a2,
         "pooled": pooled,
         "winners": winners,
@@ -393,17 +389,19 @@ def _batch_backward(w: ClassifierWeights, fwd, g_logits: np.ndarray):
     g_w3 = fwd["pooled"].T @ g_z3
     g_b3 = g_z3.sum(axis=0)
     g_pooled = g_z3 @ w.w3.T  # (B, 128)
-    g_a2 = np.zeros_like(fwd["a2"])  # (B, n, 128)
+    # The gradients wrt a2 and a1 are gated in place into those wrt z2 and
+    # z1: a > 0 exactly where z > 0.
+    g_z2 = np.zeros_like(fwd["a2"])  # (B, n, 128)
     bi = np.arange(B)[:, None]
     ci = np.arange(g_pooled.shape[1])[None, :]
-    g_a2[bi, fwd["winners"], ci] = g_pooled
-    g_z2 = g_a2 * (fwd["z2"] > 0.0)
+    g_z2[bi, fwd["winners"], ci] = g_pooled
+    g_z2 *= fwd["a2"] > 0.0
     flat_a1 = fwd["a1"].reshape(B * n, -1)
     flat_gz2 = g_z2.reshape(B * n, -1)
     g_w2 = flat_a1.T @ flat_gz2
     g_b2 = flat_gz2.sum(axis=0)
-    g_a1 = g_z2 @ w.w2.T
-    g_z1 = g_a1 * (fwd["z1"] > 0.0)
+    g_z1 = g_z2 @ w.w2.T
+    g_z1 *= fwd["a1"] > 0.0
     flat_pts = fwd["pts"].reshape(B * n, -1)
     flat_gz1 = g_z1.reshape(B * n, -1)
     g_w1 = flat_pts.T @ flat_gz1

@@ -1,4 +1,4 @@
-"""Point-cloud primitives: distances, normalization, synthetic shapes, OFF meshes.
+"""Point-cloud primitives: distances, normalization, synthetic shapes, dataset files.
 
 A point is a float64 array of shape (3,); a point cloud is a float64 array of
 shape (n, 3). Clouds are semantically sets -- row order never affects any
@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "TriangleMesh",
     "SHAPE_NAMES",
     "as_point",
     "as_cloud",
@@ -23,8 +22,6 @@ __all__ = [
     "distance_gradient",
     "normalize_cloud",
     "generate_shape",
-    "load_off_mesh",
-    "sample_mesh",
     "save_dataset",
     "load_dataset",
     "read_text",
@@ -53,10 +50,6 @@ SHAPE_NAMES = (
     "planes",
     "helix",
 )
-
-
-class OffParseError(ValueError):
-    """Malformed OFF file; message names the offending 1-based line."""
 
 
 def as_point(p) -> np.ndarray:
@@ -115,18 +108,50 @@ def cloud_distances(points: np.ndarray, clouds) -> tuple[np.ndarray, np.ndarray]
     points[..., r, :] (lowest index on ties), or the zero vector where the
     distance is at most COINCIDENT_EPS (any subgradient is valid there and
     zero avoids dividing by a vanishing norm).
+
+    The nearest point comes from a screen and an exact pick, bit for bit as
+    a full scan finds it (the argmin of every squared distance
+    d2_j = einsum(c - x_j, c - x_j)). The screen scores every point by
+    s_j = |x_j|^2 - 2 c.x_j, which is d2_j - |c|^2 up to rounding, with no
+    (..., R, n, 3) difference array, and takes idx = argmin s. With
+    L = |c| + max_j |x_j| and u = eps/2, the computed s_j is within 4u L^2 of
+    its exact value (3u L^2 for the two 3-term dot products, u L^2 for the
+    subtraction), and the full scan's d2_j within 5u L^2 of the exact squared
+    distance (2u from the rounded differences, 3u from the sum of their
+    squares). So if every other s_k exceeds s_idx + tol, with
+    tol = 32 eps L^2 = 64u L^2 > 2 (4u + 5u) L^2, every other d2_k exceeds
+    d2_idx and the full scan picks idx too. tol is computed as 8 eps (2L)^2,
+    which overflows to inf before any s_j or d2_j can, and the smallest
+    normal number added to it covers the absolute error of products that
+    underflow. Rows that fail this test (an exact tie, duplicated points, a
+    score that overflows or is NaN) run the full scan. Every row then takes
+    nearest = c - x_idx and d = sqrt(einsum(nearest, nearest)), the same
+    differences summed by the same einsum as the full scan's d2 at idx.
     """
     lead = np.broadcast_shapes(points.shape[:-1], *(X.shape[:-2] + (1,) for X in clouds))
     dists = np.empty(lead + (len(clouds),))
     units = np.zeros(lead + (len(clouds), 3))
+    f64 = np.finfo(np.float64)
+    c_norm = np.sqrt(np.einsum("...d,...d->...", points, points))
     for m, X in enumerate(clouds):
-        # Temporaries are (..., R, n_m, 3): one cloud at a time.
-        diff = points[..., :, None, :] - X[..., None, :, :]
-        d2 = np.einsum("...nd,...nd->...n", diff, diff)
-        idx = np.argmin(d2, axis=-1)[..., None]
-        d = np.sqrt(np.take_along_axis(d2, idx, axis=-1))[..., 0]
+        # A score that overflows fails the comparison below; no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            xx = np.einsum("...nd,...nd->...n", X, X)
+            s = np.matmul(points, -2.0 * X.swapaxes(-1, -2))  # (..., R, n)
+            s += xx[..., None, :]
+            idx = np.argmin(s, axis=-1)[..., None]
+            s_min = np.take_along_axis(s, idx, axis=-1)[..., 0]
+            np.put_along_axis(s, idx, np.inf, axis=-1)
+            tol = 8 * f64.eps * (2 * (c_norm + np.sqrt(xx.max(axis=-1))[..., None])) ** 2 + f64.tiny
+            unsure = ~(s.min(axis=-1) > s_min + tol)
+        if unsure.any():
+            rows = np.broadcast_to(X[..., None, :, :], lead + X.shape[-2:])[unsure]
+            diff = np.broadcast_to(points, lead + (3,))[unsure][..., None, :] - rows
+            idx[unsure] = np.argmin(np.einsum("...nd,...nd->...n", diff, diff), axis=-1)[:, None]
+        X_idx = np.take_along_axis(X[(None,) * (len(lead) + 1 - X.ndim)], idx, axis=-2)
+        nearest = points - X_idx
+        d = np.sqrt(np.einsum("...d,...d->...", nearest, nearest))
         dists[..., m] = d
-        nearest = np.take_along_axis(diff, idx[..., None], axis=-2)[..., 0, :]
         np.divide(nearest, d[..., None], out=units[..., m, :], where=(d > COINCIDENT_EPS)[..., None])
     return dists, units
 
@@ -299,106 +324,6 @@ def generate_shape(class_id: int, n: int, seed: int) -> np.ndarray:
     pts = _SHAPE_FUNCS[SHAPE_NAMES[class_id]](rng, n)
     pts = pts + SHAPE_JITTER * rng.normal(size=pts.shape)
     return normalize_cloud(pts)
-
-
-# ---------------------------------------------------------------------------
-# OFF mesh ingestion
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TriangleMesh:
-    vertices: np.ndarray  # (V, 3)
-    faces: np.ndarray  # (F, 3) int indices
-
-
-def load_off_mesh(path) -> TriangleMesh:
-    """Parse an ASCII OFF file with triangular faces."""
-    raw = read_text(path).split("\n")
-    # Skip blank and comment lines but keep real line numbers for errors.
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw)]
-    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise OffParseError("line 1: empty OFF file")
-    no, header = lines[0]
-    if header != "OFF":
-        raise OffParseError(f"line {no}: expected 'OFF' header, got {header!r}")
-    if len(lines) < 2:
-        raise OffParseError(f"line {no}: missing count line")
-    no, counts = lines[1]
-    parts = counts.split()
-    if len(parts) != 3:
-        raise OffParseError(f"line {no}: expected 'V F E' counts")
-    try:
-        nv, nf = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise OffParseError(f"line {no}: non-integer counts") from None
-    body = lines[2:]
-    if len(body) < nv + nf:
-        raise OffParseError(f"line {no}: file declares {nv} vertices and {nf} faces but has {len(body)} data lines")
-    verts = np.empty((nv, 3))
-    for i in range(nv):
-        lno, ln = body[i]
-        parts = ln.split()
-        if len(parts) < 3:
-            raise OffParseError(f"line {lno}: vertex needs 3 coordinates")
-        try:
-            verts[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-        except ValueError:
-            raise OffParseError(f"line {lno}: bad vertex coordinate") from None
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        lno, ln = body[nv + i]
-        parts = ln.split()
-        try:
-            arity = int(parts[0])
-        except (ValueError, IndexError):
-            raise OffParseError(f"line {lno}: bad face line") from None
-        if arity != 3 or len(parts) < 4:
-            raise OffParseError(f"line {lno}: only triangular faces are supported")
-        try:
-            idx = [int(parts[1]), int(parts[2]), int(parts[3])]
-        except ValueError:
-            raise OffParseError(f"line {lno}: bad face index") from None
-        for j in idx:
-            if not 0 <= j < nv:
-                raise OffParseError(f"line {lno}: vertex index {j} out of range")
-        faces[i] = idx
-    if not np.all(np.isfinite(verts)):
-        raise OffParseError("line 1: non-finite vertex coordinates")
-    return TriangleMesh(vertices=verts, faces=faces)
-
-
-def sample_mesh(mesh: TriangleMesh, n: int, seed: int) -> np.ndarray:
-    """Area-weighted uniform surface sampling of a normalized mesh.
-
-    The mesh is normalized first (vertex centroid to the origin, max vertex
-    norm to 1), so every returned point lies exactly on a face of the
-    normalized mesh. Deterministic given seed.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    verts = mesh.vertices - mesh.vertices.mean(axis=0)
-    scale = float(np.linalg.norm(verts, axis=1).max())
-    if scale >= DEGENERATE_SCALE:
-        verts = verts / scale
-    rng = np.random.default_rng([int(n), int(seed)])
-    a = verts[mesh.faces[:, 0]]
-    b = verts[mesh.faces[:, 1]]
-    c = verts[mesh.faces[:, 2]]
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    total = areas.sum()
-    if total <= 0:
-        raise ValueError("mesh has zero surface area")
-    idx = rng.choice(len(areas), size=n, p=areas / total)
-    r1 = np.sqrt(rng.uniform(size=n))
-    r2 = rng.uniform(size=n)
-    pts = (
-        (1 - r1)[:, None] * a[idx]
-        + (r1 * (1 - r2))[:, None] * b[idx]
-        + (r1 * r2)[:, None] * c[idx]
-    )
-    return pts
 
 
 # ---------------------------------------------------------------------------

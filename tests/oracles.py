@@ -13,6 +13,25 @@ from pcbdet.classifier import forward_logits
 from pcbdet.geometry import COINCIDENT_EPS, as_cloud, as_point, point_to_cloud_distance
 
 
+def full_scan_distances(points, clouds):
+    """geometry.cloud_distances by a full scan: every squared distance by
+    einsum over the (..., R, n, 3) differences, argmin with its lowest-index
+    tie rule, and the zero direction within COINCIDENT_EPS. The screened
+    kernel must reproduce its dists and units bit for bit."""
+    lead = np.broadcast_shapes(points.shape[:-1], *(X.shape[:-2] + (1,) for X in clouds))
+    dists = np.empty(lead + (len(clouds),))
+    units = np.zeros(lead + (len(clouds), 3))
+    for m, X in enumerate(clouds):
+        diff = points[..., :, None, :] - X[..., None, :, :]
+        d2 = np.einsum("...nd,...nd->...n", diff, diff)
+        idx = np.argmin(d2, axis=-1)[..., None]
+        d = np.sqrt(np.take_along_axis(d2, idx, axis=-1))[..., 0]
+        dists[..., m] = d
+        nearest = np.take_along_axis(diff, idx[..., None], axis=-2)[..., 0, :]
+        np.divide(nearest, d[..., None], out=units[..., m, :], where=(d > COINCIDENT_EPS)[..., None])
+    return dists, units
+
+
 def point_to_cloud(c, X):
     """Distance from c to its nearest point of X (the first one on ties) and
     the unit direction away from that point, zero within COINCIDENT_EPS."""

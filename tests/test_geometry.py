@@ -10,19 +10,16 @@ from hypothesis.extra import numpy as hnp
 from pcbdet import geometry
 from pcbdet.geometry import (
     Dataset,
-    OffParseError,
     SHAPE_NAMES,
     cloud_distances,
     distance_gradient,
     generate_shape,
     load_dataset,
-    load_off_mesh,
     normalize_cloud,
     point_to_cloud_distance,
-    sample_mesh,
     save_dataset,
 )
-from tests.oracles import point_to_cloud
+from tests.oracles import full_scan_distances, point_to_cloud
 
 finite_coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -189,6 +186,79 @@ class TestCloudDistances:
                     np.testing.assert_allclose(units[p, m], point_to_cloud(c, X)[1], rtol=1e-12, atol=1e-12)
 
 
+# Coordinates from a small grid make exact ties; the scales put points where
+# the screen's squares are huge (1e29, as diverged search restarts reach) or
+# overflow (1e200).
+tie_coords = st.one_of(finite_coords, st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+scales = st.sampled_from([1.0, 1e29, 1e200])
+
+
+@st.composite
+def distance_calls(draw):
+    """Arguments of one cloud_distances call, in the shared form (points
+    (R, 3)) or the stacked form (points (P, R, 3)), with 1-3 clouds of their
+    own sizes, duplicated points and query points on a cloud."""
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+
+    def block(n):
+        pts = draw(hnp.arrays(np.float64, lead + (n, 3), elements=tie_coords))
+        return pts * draw(hnp.arrays(np.float64, lead + (n, 1), elements=scales))
+
+    points = block(draw(st.integers(1, 5)))
+    cloud_list = [block(n) for n in draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))]
+    for X in cloud_list:
+        if X.shape[-2] > 1 and draw(st.booleans()):
+            X[..., -1, :] = X[..., 0, :]
+    if draw(st.booleans()):
+        points[..., 0, :] = cloud_list[0][..., -1, :]
+    return points, cloud_list
+
+
+class TestScreenedKernel:
+    """cloud_distances against the full scan it replaced: the same bits."""
+
+    def assert_bits_equal(self, points, cloud_list):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cloud_distances(points, cloud_list)
+            want = full_scan_distances(points, cloud_list)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(distance_calls())
+    def test_bit_equal_to_full_scan(self, call):
+        self.assert_bits_equal(*call)
+
+    def test_screened_and_full_scan_rows_in_one_call(self):
+        # Two problems, each with its own 1024-point cloud (a sphere and a
+        # cube scaled by 3) whose first two points are moved to +-e_x. The
+        # query at the origin ties between them, and at 1e200 the squared
+        # distances overflow (so does the tolerance): both run the full scan.
+        # The queries near the surface have one clearly nearest point and
+        # take the screen's pick.
+        X = np.stack([3 * generate_shape(k, 1024, seed=k) for k in range(2)])
+        X[:, 0], X[:, 1] = [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]
+        rng = np.random.default_rng(5)
+        points = np.concatenate(
+            [np.zeros((2, 1, 3)), np.full((2, 1, 3), 1e200), 3.2 * rng.normal(size=(2, 6, 3))], axis=1
+        )
+        self.assert_bits_equal(points, [X])
+        _, units = cloud_distances(points, [X])
+        np.testing.assert_array_equal(units[:, 0, 0], [[-1.0, 0.0, 0.0]] * 2)  # lowest index wins
+        # The shared form over the first problem's cloud.
+        self.assert_bits_equal(points[0], [X[0], X[0, :7]])
+
+    def test_near_tie_that_the_full_scan_rounds_to_a_tie(self):
+        # At 1e8 from the cloud the two squared distances, 1e16 + 1 and
+        # 1e16 + 0.25, round to one float, so the full scan takes index 0,
+        # while the scores, 1 and 0.25, are exact and distinct. Only a
+        # tolerance scaled by (|c| + max|x|)^2 sees the tie.
+        points = np.array([[1e8, 0.0, 0.0]])
+        X = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.5]])
+        self.assert_bits_equal(points, [X])
+        np.testing.assert_array_equal(cloud_distances(points, [X])[1][0, 0], [1.0, 0.0, -1e-8])
+
+
 class TestNormalize:
     def test_center_then_scale(self):
         out = normalize_cloud([[1, 1, 1], [3, 3, 3]])
@@ -258,77 +328,6 @@ class TestGenerateShape:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             generate_shape(0, 8, seed=0)
-
-
-CUBE_OFF = """OFF
-8 12 0
-0 0 0
-1 0 0
-1 1 0
-0 1 0
-0 0 1
-1 0 1
-1 1 1
-0 1 1
-3 0 2 1
-3 0 3 2
-3 4 5 6
-3 4 6 7
-3 0 1 5
-3 0 5 4
-3 1 2 6
-3 1 6 5
-3 2 3 7
-3 2 7 6
-3 3 0 4
-3 3 4 7
-"""
-
-
-class TestOffMesh:
-    def test_parse_cube(self, tmp_path):
-        p = tmp_path / "cube.off"
-        p.write_text(CUBE_OFF)
-        mesh = load_off_mesh(p)
-        assert mesh.vertices.shape == (8, 3)
-        assert mesh.faces.shape == (12, 3)
-
-    def test_bad_header_names_line_one(self, tmp_path):
-        p = tmp_path / "bad.off"
-        p.write_text("OFS\n8 12 0\n")
-        with pytest.raises(OffParseError, match="line 1"):
-            load_off_mesh(p)
-
-    def test_non_triangle_face_rejected(self, tmp_path):
-        p = tmp_path / "quad.off"
-        p.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
-        with pytest.raises(OffParseError, match="line 7"):
-            load_off_mesh(p)
-
-    def test_out_of_range_index_rejected(self, tmp_path):
-        p = tmp_path / "oob.off"
-        p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
-        with pytest.raises(OffParseError, match="line 6"):
-            load_off_mesh(p)
-
-    def test_samples_lie_on_cube_faces(self, tmp_path):
-        p = tmp_path / "cube.off"
-        p.write_text(CUBE_OFF)
-        mesh = load_off_mesh(p)
-        pts = sample_mesh(mesh, 1000, seed=3)
-        # The mesh is normalized before sampling: centroid (0.5,0.5,0.5) maps
-        # to the origin and the half-diagonal to norm 1, so faces become the
-        # planes coordinate = +-1/sqrt(3).
-        half = 1 / math.sqrt(3)
-        on_face = np.min(np.abs(np.abs(pts) - half), axis=1)
-        assert on_face.max() <= 1e-9
-        assert np.abs(pts).max() <= half + 1e-9
-
-    def test_sampling_deterministic(self, tmp_path):
-        p = tmp_path / "cube.off"
-        p.write_text(CUBE_OFF)
-        mesh = load_off_mesh(p)
-        np.testing.assert_array_equal(sample_mesh(mesh, 100, seed=5), sample_mesh(mesh, 100, seed=5))
 
 
 class TestDatasetIO:

@@ -101,8 +101,6 @@ UNCALLED_API = {
     "loss_gradient_wrt_point": "the acceptance suite imports it",
     "load_pattern": "the acceptance suite imports it",
     "distance_gradient": "package API",
-    "load_off_mesh": "OFF ingestion for CAD data",
-    "sample_mesh": "OFF ingestion for CAD data",
 }
 
 
