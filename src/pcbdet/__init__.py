@@ -4,7 +4,6 @@ unsupervised backdoor detection via trigger reverse-engineering."""
 from pcbdet.geometry import (
     Dataset,
     point_to_cloud_distance,
-    distance_gradient,
     normalize_cloud,
     generate_shape,
 )
@@ -37,7 +36,6 @@ from pcbdet.inference import DetectionReport, detect
 __all__ = [
     "Dataset",
     "point_to_cloud_distance",
-    "distance_gradient",
     "normalize_cloud",
     "generate_shape",
     "ClassifierWeights",

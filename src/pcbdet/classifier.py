@@ -29,7 +29,6 @@ __all__ = [
     "predict",
     "pool_vector",
     "insertion_logits",
-    "insertion_predictions",
     "insertion_gradient",
     "margin_cotangent",
     "loss_gradient_wrt_point",
@@ -177,11 +176,12 @@ def init_weights(num_classes: int, seed: int) -> ClassifierWeights:
 # ---------------------------------------------------------------------------
 
 
-# Rows are multiplied in fixed-shape zero-padded blocks so that a point's
-# feature vector is bit-identical no matter how many other points the cloud
-# holds or where in the cloud it sits. (BLAS picks kernels by matrix shape;
-# without blocking, appending a point can perturb every feature by an ulp and
-# break the exact permutation/duplicate invariance of the logits.)
+# Rows are multiplied in fixed-shape zero-padded blocks so that a row's
+# result is bit-identical no matter how many other rows the input holds or
+# where it sits. (BLAS picks kernels by matrix shape; without blocking,
+# appending a point can perturb every feature by an ulp and break the exact
+# permutation/duplicate invariance of the logits, and a cloud's logits in a
+# stack could differ from its logits alone.)
 _ROW_BLOCK = 256
 
 
@@ -215,25 +215,14 @@ def _point_features(w: ClassifierWeights, pts: np.ndarray):
     return a1.reshape(*lead, POINT_DIMS[1]), a2.reshape(*lead, POINT_DIMS[2])
 
 
-def _point_features_fast(w: ClassifierWeights, pts: np.ndarray):
-    """Plain-matmul feature stack for small fixed-shape inputs.
-
-    Used on inserted-point candidates, whose array shape is constant within a
-    run; values may differ from _point_features in the last ulp.
-    """
-    z1 = pts @ w.w1 + w.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ w.w2 + w.b2
-    a2 = np.maximum(z2, 0.0)
-    return z1, a1, z2, a2
-
-
 def _head(w: ClassifierWeights, pooled: np.ndarray):
-    """Classification head; pooled has shape (..., 128)."""
-    z3 = pooled @ w.w3 + w.b3
-    a3 = np.maximum(z3, 0.0)
-    logits = a3 @ w.w4 + w.b4
-    return z3, a3, logits
+    """Hidden activation a3 and logits of the head, with row-stable
+    arithmetic; pooled is (..., 128)."""
+    lead = pooled.shape[:-1]
+    a3 = _affine_rows(pooled.reshape(-1, POINT_DIMS[2]), w.w3, w.b3)
+    np.maximum(a3, 0.0, out=a3)
+    logits = _affine_rows(a3, w.w4, w.b4)
+    return a3.reshape(*lead, HEAD_HIDDEN), logits.reshape(*lead, w.num_classes)
 
 
 def forward_logits(w: ClassifierWeights, X) -> np.ndarray:
@@ -241,8 +230,7 @@ def forward_logits(w: ClassifierWeights, X) -> np.ndarray:
     X = as_cloud(X)
     w.validate()
     _, a2 = _point_features(w, X)
-    pooled = a2.max(axis=0)
-    _, _, logits = _head(w, pooled)
+    _, logits = _head(w, a2.max(axis=0))
     return logits
 
 
@@ -268,30 +256,18 @@ def insertion_logits(w: ClassifierWeights, pooled_base: np.ndarray, c: np.ndarra
 
     pooled_base: (..., M, 128) per-cloud pooled features, its leading axes
     broadcasting against those of c; c: (..., 3) insertion locations.
-    Returns (logits, cache) where logits has shape (..., M, K).
-    Ties between the inserted point and an existing point go to the existing
-    point (the insertion is appended after all cloud points).
+    Returns (logits, cache) where logits has shape (..., M, K). Every row is
+    forward_logits(w, X_m + {c}) bit for bit, whatever the stack's shape:
+    the point's features and the head run on row-stable blocks and the
+    max-pool is exact. Ties between the inserted point and an existing point
+    go to the existing point (the insertion is appended after all cloud
+    points).
     """
-    z1, a1, z2, a2 = _point_features_fast(w, c)
+    a1, a2 = _point_features(w, c)
     a2e = a2[..., None, :]  # (..., 1, 128)
-    pooled = np.maximum(pooled_base, a2e)
     win = a2e > pooled_base  # strict: existing points keep ties
-    z3, a3, logits = _head(w, pooled)
-    cache = {"z1": z1, "z2": z2, "a1": a1, "win": win, "z3": z3, "a3": a3}
-    return logits, cache
-
-
-def insertion_predictions(w: ClassifierWeights, pooled_base: np.ndarray, c):
-    """Exact predictions of clouds with the one point c appended, from cached pools.
-
-    Unlike insertion_logits, c goes through the row-stable feature path and
-    the head runs on one cloud at a time, so logits[m] equals
-    forward_logits(w, X_m + {c}) bit for bit and preds[m] equals
-    predict(w, X_m + {c}). Returns (preds (M,), logits (M, K)).
-    """
-    _, feat = _point_features(w, as_point(c)[None, :])
-    logits = np.stack([_head(w, np.maximum(pool, feat[0]))[2] for pool in pooled_base])
-    return np.argmax(logits, axis=1), logits
+    a3, logits = _head(w, np.maximum(pooled_base, a2e))
+    return logits, {"a1": a1, "a2": a2, "win": win, "a3": a3}
 
 
 def insertion_gradient(w: ClassifierWeights, cache, g_logits: np.ndarray) -> np.ndarray:
@@ -300,23 +276,24 @@ def insertion_gradient(w: ClassifierWeights, cache, g_logits: np.ndarray) -> np.
     g_logits: (..., M, K) cotangent of the logits returned by
     insertion_logits. Returns gradient of shape (..., 3): per-channel max-pool
     gates the flow to channels the inserted point strictly wins; contributions
-    are summed over the M clouds.
+    are summed over the M clouds. Each ReLU gates on a > 0, which holds
+    exactly where z > 0.
     """
     g_a3 = g_logits @ w.w4.T
-    g_z3 = g_a3 * (cache["z3"] > 0.0)
+    g_z3 = g_a3 * (cache["a3"] > 0.0)
     g_pooled = g_z3 @ w.w3.T  # (..., M, 128)
     g_a2 = (g_pooled * cache["win"]).sum(axis=-2)  # (..., 128)
-    g_z2 = g_a2 * (cache["z2"] > 0.0)
+    g_z2 = g_a2 * (cache["a2"] > 0.0)
     g_a1 = g_z2 @ w.w2.T
-    g_z1 = g_a1 * (cache["z1"] > 0.0)
+    g_z1 = g_a1 * (cache["a1"] > 0.0)
     return g_z1 @ w.w1.T
 
 
 def loss_gradient_wrt_point(w: ClassifierWeights, X, c, spec: LossSpec) -> np.ndarray:
     """Exact gradient wrt c of the network term selected by spec, on X + {c}.
 
-    The distance regularizer is not included; callers add
-    lambda * distance_gradient(c, X) themselves.
+    The distance regularizer is not included; callers add lambda times the
+    unit direction of geometry.cloud_distances themselves.
     """
     X = as_cloud(X)
     c = as_point(c)
@@ -360,14 +337,17 @@ def _batch_forward(w: ClassifierWeights, pts: np.ndarray):
     a1, a2 = _point_features(w, pts)
     pooled = a2.max(axis=1)  # (B, 128)
     winners = a2.argmax(axis=1)  # (B, 128), first index wins ties
-    z3, a3, logits = _head(w, pooled)
+    # The head is a plain matmul, not _head: training compares no logits
+    # across evaluations, and padded blocks would change the arithmetic of
+    # a batch of a few clouds and so the trained weights.
+    a3 = np.maximum(pooled @ w.w3 + w.b3, 0.0)
+    logits = a3 @ w.w4 + w.b4
     return {
         "pts": pts,
         "a1": a1,
         "a2": a2,
         "pooled": pooled,
         "winners": winners,
-        "z3": z3,
         "a3": a3,
         "logits": logits,
     }
@@ -383,7 +363,7 @@ def _batch_backward(w: ClassifierWeights, fwd, g_logits: np.ndarray):
     """Gradients of sum(g_logits * logits) wrt every parameter array."""
     B, n, _ = fwd["pts"].shape
     g_a3 = g_logits @ w.w4.T
-    g_z3 = g_a3 * (fwd["z3"] > 0.0)
+    g_z3 = g_a3 * (fwd["a3"] > 0.0)
     g_w4 = fwd["a3"].T @ g_logits
     g_b4 = g_logits.sum(axis=0)
     g_w3 = fwd["pooled"].T @ g_z3

@@ -139,6 +139,9 @@ def _revalidate(cfg: RunConfig) -> None:
     cfg.train.__post_init__()
     cfg.attack.__post_init__()
     cfg.estimation.__post_init__()
+    for key, value in (("attack_source", cfg.attack.source), ("attack_target", cfg.attack.target)):
+        if not 0 <= value < cfg.data.classes:
+            raise ValueError(f"{key} = {value} is not a class: need 0 <= {key} < classes = {cfg.data.classes}")
     if not 0.0 < cfg.phi < 1.0:
         raise ValueError("phi must be in (0, 1)")
 

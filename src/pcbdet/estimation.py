@@ -20,11 +20,10 @@ from pcbdet.classifier import (
     ClassifierWeights,
     insertion_gradient,
     insertion_logits,
-    insertion_predictions,
     margin_cotangent,
     pool_vector,
 )
-from pcbdet.geometry import as_cloud, cloud_distances
+from pcbdet.geometry import as_cloud, as_point, cloud_distances
 
 __all__ = [
     "EstimationParams",
@@ -74,7 +73,7 @@ class GroupEstimate:
     source: int
     center: np.ndarray | None  # None means the search never became feasible
     target: int | None  # voted target class; None when failed
-    rho: float  # misclassification fraction re-checked at center
+    rho: float  # misclassification fraction at center
 
     @property
     def failed(self) -> bool:
@@ -109,16 +108,18 @@ def _descent(w, problems, params):
     targeted); each keeps its own source, target, seed and trace, and its
     n_restarts seeded inits. The state carries a leading problem axis:
     problems x restarts x clouds. Every per-problem value is the one a stack
-    of one computes, bit for bit: the batched matmuls run the same per-slice
-    products and every reduction runs along the same axis as alone.
+    of one computes, bit for bit: the network runs on row-stable blocks, the
+    other batched matmuls run the same per-slice products and every
+    reduction runs along the same axis as alone.
 
     target None selects the group (untargeted) variant: feasibility means at
     least a pi fraction of clouds misclassified away from source. With a
     target, feasibility means the (single) cloud is classified as target.
 
-    Returns one (best_center, preds) per problem, preds being the exact
-    prediction on each cloud with best_center inserted, or (None, None) when
-    no recorded candidate passes the re-check.
+    The loop's logits are exact (see insertion_logits), so a feasible
+    iterate needs no re-check. Returns one (best_center, preds) per problem,
+    preds being the prediction on each cloud with best_center inserted, or
+    (None, None) when no iterate was feasible.
     """
     P, R = len(problems), params.n_restarts
     clouds = [np.stack([as_cloud(pr.clouds[m]) for pr in problems]) for m in range(len(problems[0].clouds))]
@@ -131,6 +132,7 @@ def _descent(w, problems, params):
     lam = np.full((P, R), params.lambda0)
     best_sum = np.full((P, R), np.inf)
     best_c = np.zeros((P, R, 3))
+    best_preds = np.zeros((P, R, len(clouds)), dtype=np.intp)
 
     logits, cache = insertion_logits(w, pooled, c)  # (P, R, M, K)
     _, units = cloud_distances(c, clouds)
@@ -154,13 +156,15 @@ def _descent(w, problems, params):
 
             logits, cache = insertion_logits(w, pooled, c)
             dists, units = cloud_distances(c, clouds)
-            rho = _flip_rate(np.argmax(logits, axis=-1), sources, targets)  # (P, R)
+            preds = np.argmax(logits, axis=-1)  # (P, R, M)
+            rho = _flip_rate(preds, sources, targets)  # (P, R)
             feasible = rho >= params.pi
             lam = np.where(feasible, np.minimum(lam * params.alpha, LAMBDA_CAP), lam / params.alpha)
             total = dists.sum(axis=-1)
             improved = feasible & (total < best_sum) & np.all(np.isfinite(c), axis=-1)
             best_sum = np.where(improved, total, best_sum)
             best_c[improved] = c[improved]
+            best_preds[improved] = preds[improved]
 
             if traces:
                 margins = (margin_cotangent(logits, sources, targets) * logits).sum(axis=-1)  # (P, R, M)
@@ -172,21 +176,11 @@ def _descent(w, problems, params):
                             f"{float(c[p, r, 0])!r},{float(c[p, r, 1])!r},{float(c[p, r, 2])!r}\n"
                         )
 
-    return [_recheck(w, pooled[p, 0], pr, best_sum[p], best_c[p], params) for p, pr in enumerate(problems)]
-
-
-def _recheck(w, pooled, problem, best_sum, best_c, params):
-    """(center, preds) of the closest recorded candidate that passes the
-    exact re-check, or (None, None)."""
-    for r in np.argsort(best_sum, kind="stable"):
-        if not np.isfinite(best_sum[r]):
-            break
-        # Recorded candidates are re-validated with exact predictions, not
-        # trusted from the loop's last-ulp insertion logits.
-        preds, _ = insertion_predictions(w, pooled, best_c[r])
-        if _flip_rate(preds, problem.source, problem.target) >= params.pi:
-            return best_c[r].copy(), preds
-    return None, None
+    best = np.argmin(best_sum, axis=1)  # the first restart on ties
+    return [
+        (best_c[p, r].copy(), best_preds[p, r]) if np.isfinite(best_sum[p, r]) else (None, None)
+        for p, r in enumerate(best)
+    ]
 
 
 def _flip_rate(preds: np.ndarray, source, target):
@@ -237,8 +231,8 @@ def estimate_group_location(w: ClassifierWeights, problems, params: EstimationPa
     fraction of the clouds away from the source class is a candidate, and
     the candidate with the smallest total distance to the clouds wins. A
     problem none of whose iterates is ever feasible gets a failed estimate.
-    On success, rho and the voted target (vote_target_class) come from the
-    same exact predictions that re-checked the winner. Problems whose clouds
+    On success, rho and the voted target come from the descent's own
+    predictions at the winner, which are exact. Problems whose clouds
     have the same shapes run as one stacked descent; the result of each is
     the same as when it runs alone.
     """
@@ -269,8 +263,8 @@ def vote_target_class(w: ClassifierWeights, clouds, c_hat, source: int) -> int:
     """
     if c_hat is None:
         raise ValueError("cannot vote with a failed estimate")
-    preds, _ = insertion_predictions(w, np.stack([pool_vector(w, X) for X in clouds]), c_hat)
-    return _vote(preds, source, w.num_classes)
+    logits, _ = insertion_logits(w, np.stack([pool_vector(w, X) for X in clouds]), as_point(c_hat))
+    return _vote(np.argmax(logits, axis=-1), source, w.num_classes)
 
 
 def estimate_samplewise_location(w: ClassifierWeights, problems, params: EstimationParams) -> list:

@@ -19,7 +19,6 @@ __all__ = [
     "as_cloud",
     "cloud_distances",
     "point_to_cloud_distance",
-    "distance_gradient",
     "normalize_cloud",
     "generate_shape",
     "save_dataset",
@@ -159,11 +158,6 @@ def cloud_distances(points: np.ndarray, clouds) -> tuple[np.ndarray, np.ndarray]
 def point_to_cloud_distance(c, X) -> float:
     """Minimum Euclidean distance from point c to any point of cloud X."""
     return float(cloud_distances(as_point(c)[None], [as_cloud(X)])[0][0, 0])
-
-
-def distance_gradient(c, X) -> np.ndarray:
-    """Subgradient of point_to_cloud_distance with respect to c (see cloud_distances)."""
-    return cloud_distances(as_point(c)[None], [as_cloud(X)])[1][0, 0]
 
 
 def normalize_cloud(X) -> np.ndarray:

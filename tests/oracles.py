@@ -10,7 +10,7 @@ import numpy as np
 from scipy import special
 
 from pcbdet.classifier import forward_logits
-from pcbdet.geometry import COINCIDENT_EPS, as_cloud, as_point, point_to_cloud_distance
+from pcbdet.geometry import COINCIDENT_EPS, as_cloud, as_point, cloud_distances
 
 
 def full_scan_distances(points, clouds):
@@ -45,6 +45,15 @@ def point_to_cloud(c, X):
     return best, [(ci - xi) / best for ci, xi in zip(c, nearest)]
 
 
+def distance_to_cloud(c, X):
+    """(distance, unit direction) from the one point c to the cloud X.
+
+    Not a reference: a one-point call of geometry.cloud_distances, the code
+    under test, for tests that check its one-point results.
+    """
+    return tuple(a[0, 0] for a in cloud_distances(as_point(c)[None], [as_cloud(X)]))
+
+
 def group_loss(w, clouds, source: int, c, lam: float) -> float:
     """Untargeted margin loss plus distance penalty, summed over the clouds."""
     c = as_point(c)
@@ -55,7 +64,7 @@ def group_loss(w, clouds, source: int, c, lam: float) -> float:
         logits = forward_logits(w, np.vstack([as_cloud(X), c[None, :]]))
         others = np.delete(logits, source)
         total += float(logits[source] - others.max())
-        total += lam * point_to_cloud_distance(c, X)
+        total += lam * distance_to_cloud(c, X)[0]
     return total
 
 
@@ -63,7 +72,7 @@ def samplewise_loss(w, X, source: int, target: int, c, lam: float) -> float:
     """Targeted margin loss plus distance penalty for a single cloud."""
     c = as_point(c)
     logits = forward_logits(w, np.vstack([as_cloud(X), c[None, :]]))
-    return float(logits[source] - logits[target]) + lam * point_to_cloud_distance(c, X)
+    return float(logits[source] - logits[target]) + lam * distance_to_cloud(c, X)[0]
 
 
 def mean_cross_entropy(w, data) -> float:

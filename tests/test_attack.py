@@ -17,7 +17,8 @@ from pcbdet.attack import (
     save_pattern,
 )
 from pcbdet.classifier import init_weights, pool_vector
-from pcbdet.geometry import Dataset, generate_shape, point_to_cloud_distance
+from pcbdet.geometry import Dataset, generate_shape
+from tests.oracles import distance_to_cloud
 from tests.test_classifier import constant_logit_weights
 
 
@@ -97,13 +98,13 @@ class TestChooseCenter:
     def test_degenerate_single_point_cloud(self):
         c = choose_center([np.zeros((1, 3))], standoff=0.3, candidates=16, seed=4)
         assert np.linalg.norm(c) == pytest.approx(1.3, abs=1e-12)
-        assert point_to_cloud_distance(c, np.zeros((1, 3))) == pytest.approx(1.3, abs=1e-12)
+        assert distance_to_cloud(c, np.zeros((1, 3)))[0] == pytest.approx(1.3, abs=1e-12)
 
     def test_sphere_class_average_distance(self):
         clouds = [generate_shape(0, 256, seed=i) for i in range(10)]
         c = choose_center(clouds, standoff=0.3, candidates=64, seed=0)
         # Geometry oracle: brute-force average distance over the clouds.
-        avg = np.mean([point_to_cloud_distance(c, X) for X in clouds])
+        avg = np.mean([distance_to_cloud(c, X)[0] for X in clouds])
         assert 0.25 <= avg <= 0.40
 
     def test_deterministic(self):
@@ -116,7 +117,7 @@ class TestChooseCenter:
     def test_average_distance_bound_all_families(self, class_id):
         clouds = [generate_shape(class_id, 256, seed=i) for i in range(10)]
         c = choose_center(clouds, standoff=0.3, candidates=64, seed=5)
-        avg = np.mean([point_to_cloud_distance(c, X) for X in clouds])
+        avg = np.mean([distance_to_cloud(c, X)[0] for X in clouds])
         assert avg <= 0.3 + 0.2
 
     def test_empty_source_rejected(self):
@@ -135,7 +136,7 @@ class TestGuidedCenter:
         rng = np.random.default_rng([seed, 0xCE17E5])
         dirs = rng.normal(size=(candidates, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return np.array([np.mean([point_to_cloud_distance((1 + standoff) * d, X) for X in clouds]) for d in dirs])
+        return np.array([np.mean([distance_to_cloud((1 + standoff) * d, X)[0] for X in clouds]) for d in dirs])
 
     @staticmethod
     def channel_wins(w, c, clouds):
@@ -149,7 +150,7 @@ class TestGuidedCenter:
         c = choose_center(clouds, standoff=0.2, candidates=64, seed=5, weights=w)
         nearest = choose_center(clouds, standoff=0.2, candidates=64, seed=5)
         assert np.linalg.norm(c) == pytest.approx(1.2, abs=1e-12)
-        avg = np.mean([point_to_cloud_distance(c, X) for X in clouds])
+        avg = np.mean([distance_to_cloud(c, X)[0] for X in clouds])
         dists = np.sort(self.candidate_distances(clouds, 0.2, 64, 5))
         # Within the nearest quarter of the candidates, so below the median.
         assert avg <= dists[int(64 * NEAR_FRACTION) - 1] + 1e-12

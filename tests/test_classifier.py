@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from pcbdet.classifier import (
     accuracy,
     forward_logits,
     init_weights,
-    insertion_predictions,
+    insertion_logits,
     load_weights,
     loss_gradient_wrt_point,
     pool_vector,
@@ -20,8 +24,8 @@ from pcbdet.classifier import (
     save_weights,
     train,
 )
-from pcbdet.geometry import Dataset, distance_gradient, generate_shape
-from tests.oracles import mean_cross_entropy
+from pcbdet.geometry import Dataset, generate_shape
+from tests.oracles import distance_to_cloud, mean_cross_entropy
 
 
 def reference_forward(w, X):
@@ -97,18 +101,61 @@ class TestForward:
 
 
 class TestInsertionPredictions:
-    @pytest.mark.parametrize("n", [16, 255, 256, 257, 1024])
+    """insertion_logits is the one evaluation of the network on X + {c}: its
+    logits, and so the predictions the search acts on, are forward_logits on
+    the union bit for bit, whatever the leading axes of the stack."""
+
+    SIZES = [16, 255, 256, 257, 1024]
+    FAR = np.array([2.5, -3.0, 4.0])
+
+    @staticmethod
+    def assert_union_bits(w, clouds, c, logits):
+        for m, X in enumerate(clouds):
+            union = np.vstack([X, c[None]])
+            np.testing.assert_array_equal(logits[m], forward_logits(w, union))
+            assert np.argmax(logits[m]) == predict(w, union)
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_bit_identical_to_forward_on_the_union(self, small_weights, n):
+        # Leading axes (): one point against M shared clouds.
         clouds = [generate_shape(k, n, seed=n + k) for k in range(3)]
         pooled = np.stack([pool_vector(small_weights, X) for X in clouds])
-        far = np.array([2.5, -3.0, 4.0])
-        inside = 0.5 * clouds[0][n // 2]
-        for c in (far, inside):
-            preds, logits = insertion_predictions(small_weights, pooled, c)
-            for m, X in enumerate(clouds):
-                union = np.vstack([X, c[None]])
-                np.testing.assert_array_equal(logits[m], forward_logits(small_weights, union))
-                assert preds[m] == predict(small_weights, union)
+        for c in (self.FAR, 0.5 * clouds[0][n // 2]):
+            logits, _ = insertion_logits(small_weights, pooled, c)
+            assert logits.shape == (3, small_weights.num_classes)
+            self.assert_union_bits(small_weights, clouds, c, logits)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_stack_bit_identical_to_forward_on_the_union(self, small_weights, n):
+        # Leading axes (P, R): each problem pairs its R points with its own
+        # M clouds. P * R * M = 264 head rows span two row blocks; odd
+        # restarts sit inside a cloud, even ones far out.
+        P, R, M = 3, 22, 4
+        clouds = [[generate_shape((p + m) % 8, n, seed=100 * p + m) for m in range(M)] for p in range(P)]
+        pooled = np.stack([[pool_vector(small_weights, X) for X in cl] for cl in clouds])[:, None]
+        c = np.array(
+            [
+                [0.5 * clouds[p][r % M][(37 * r) % n] if r % 2 else (1 + r / R) * self.FAR for r in range(R)]
+                for p in range(P)
+            ]
+        )
+        logits, _ = insertion_logits(small_weights, pooled, c)
+        assert logits.shape == (P, R, M, small_weights.num_classes)
+        for p in range(P):
+            for r in range(R):
+                self.assert_union_bits(small_weights, clouds[p], c[p, r], logits[p, r])
+
+    def test_single_blas_thread(self):
+        # BLAS picks kernels and splits work by thread count; bit equality
+        # must hold at one thread as at the default.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::TestInsertionPredictions",
+             "-k", "bit_identical"],
+            cwd=Path(__file__).resolve().parents[1], env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "10 passed" in proc.stdout
 
 
 class TestPredict:
@@ -169,7 +216,7 @@ class TestPointGradient:
 
     def test_gated_cw_leaves_only_regularizer(self, small_weights):
         # With the network term gated off, the full objective gradient is
-        # exactly lambda * distance_gradient.
+        # exactly lambda times the distance's unit direction.
         rng = np.random.default_rng(9)
         lam = 0.37
         while True:
@@ -181,8 +228,8 @@ class TestPointGradient:
             ):
                 break
         net = loss_gradient_wrt_point(small_weights, X, c, LossSpec("untargeted", 1))
-        total = net + lam * distance_gradient(c, X)
-        np.testing.assert_array_equal(total, lam * distance_gradient(c, X))
+        total = net + lam * distance_to_cloud(c, X)[1]
+        np.testing.assert_array_equal(total, lam * distance_to_cloud(c, X)[1])
 
     def test_targeted_spec(self, small_weights):
         rng = np.random.default_rng(10)

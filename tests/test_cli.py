@@ -317,6 +317,28 @@ class TestCliPipeline:
             assert f"error: {out / 'test.txt'}: " in err and "test_per_class" in err
         assert not (out / "clean.weights").exists() and not (out / "poisoned.weights").exists()
 
+    @pytest.mark.parametrize(
+        "command, lines, key",
+        [
+            ("attack", "classes = 4\n", "attack_target"),
+            ("attack", "classes = 4\nattack_source = 7\nattack_target = 1\n", "attack_source"),
+            ("gen-data", "classes = 4\n", "attack_target"),
+        ],
+        ids=["default-target", "source", "gen-data"],
+    )
+    def test_attack_class_out_of_range_fails_at_load(self, tmp_path, capsys, command, lines, key):
+        # The default attack_target is 4: a 4-class run has no class 4. Every
+        # command loads the whole config, so a clean-only stage fails too.
+        path = tmp_path / "run.cfg"
+        path.write_text(lines)
+        args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "attack":
+            args += ["--weights", str(tmp_path / "clean.weights")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: {key} = " in err and "classes = " in err
+        assert not (tmp_path / "out").exists()
+
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["detect", "--config", str(tmp_path / "missing.cfg"), "--weights", "x"])
         assert code == 1

@@ -12,9 +12,9 @@ from pcbdet.estimation import (
     estimate_samplewise_location,
     vote_target_class,
 )
-from pcbdet.geometry import generate_shape, point_to_cloud_distance
+from pcbdet.geometry import generate_shape
 from pcbdet.inference import compute_r_s
-from tests.oracles import group_loss, samplewise_loss
+from tests.oracles import distance_to_cloud, group_loss, samplewise_loss
 from tests.test_classifier import constant_logit_weights
 
 
@@ -82,7 +82,7 @@ class TestGroupLoss:
         lam = 0.7
         base = group_loss(w, clouds, 0, c, lam)
         doubled = group_loss(w, clouds, 0, c, 2 * lam)
-        total_d = sum(point_to_cloud_distance(c, X) for X in clouds)
+        total_d = sum(distance_to_cloud(c, X)[0] for X in clouds)
         assert doubled - base == pytest.approx(lam * total_d, rel=1e-12)
 
 
@@ -141,7 +141,7 @@ class TestAlgorithmMechanics:
         for row in read_trace(trace):
             if float(row["rho"]) >= params.pi:
                 c = np.array([float(row["cx"]), float(row["cy"]), float(row["cz"])])
-                best = min(best, sum(point_to_cloud_distance(c, X) for X in clouds))
+                best = min(best, sum(distance_to_cloud(c, X)[0] for X in clouds))
         assert compute_r_s(est.center, clouds) * len(clouds) == pytest.approx(best, rel=1e-9)
 
     def test_failed_when_never_feasible(self):
@@ -152,18 +152,25 @@ class TestAlgorithmMechanics:
         assert est.center is None and est.target is None and est.rho == 0.0
 
     def test_returned_estimate_revalidates(self):
-        w = constant_logit_weights([0.0, 2.0, 1.0])
-        clouds = [generate_shape(1, 16, seed=i) for i in range(4)]
+        # Every estimate of a stacked call, checked from scratch with
+        # predict on the union: its rho and voted target are exact.
+        w = init_weights(num_classes=4, seed=0)
         params = EstimationParams(tau_max=25, n_restarts=2)
-        est = one_group(w, clouds, source=0, params=params, seed=5)
-        assert not est.failed
-        # Independent re-check of the feasibility constraint from scratch.
-        flips = [predict(w, np.vstack([X, est.center[None]])) != 0 for X in clouds]
-        assert np.mean(flips) >= params.pi
-        assert est.rho >= params.pi
+        problems = [
+            SearchProblem([generate_shape(s, 32, seed=10 * s + i) for i in range(3)], s, seed=s) for s in range(4)
+        ]
+        estimates = estimate_group_location(w, problems, params)
+        assert sum(not est.failed for est in estimates) >= 2
+        for pr, est in zip(problems, estimates):
+            if est.failed:
+                continue
+            preds = np.array([predict(w, np.vstack([X, est.center[None]])) for X in pr.clouds])
+            assert est.rho == np.mean(preds != pr.source) and est.rho >= params.pi
+            assert est.target == estimation._vote(preds, pr.source, w.num_classes)
+            assert est.target == vote_target_class(w, pr.clouds, est.center, pr.source)
 
     def test_pools_each_cloud_once(self, monkeypatch):
-        # The re-check, rho and the vote all reuse the descent's pools.
+        # rho and the vote come from the descent, which pools each cloud once.
         calls = []
         real_pool_vector = estimation.pool_vector
 
@@ -292,29 +299,31 @@ class TestStacking:
 
 
 class TestVoting:
+    """_vote on the predictions at a group estimate's center."""
+
     def test_unanimous_vote(self):
-        w = constant_logit_weights([0.0, 0.0, 0.0, 4.0])
-        clouds = [generate_shape(0, 16, seed=i) for i in range(10)]
-        assert vote_target_class(w, clouds, np.zeros(3), source=0) == 3
+        assert estimation._vote(np.full(10, 3), source=0, num_classes=4) == 3
 
     def test_tie_breaks_low(self):
-        # 5 clouds flip to class 1, 5 stay at class 2 -> tie -> pick 1.
-        w = threshold_weights(theta=5.0, high_class=1, base_class=2, k=3)
-        clouds = [cloud_with_max_z(6.0, seed=i) for i in range(5)]
-        clouds += [cloud_with_max_z(-0.5, seed=50 + i) for i in range(5)]
-        assert vote_target_class(w, clouds, np.zeros(3), source=0) == 1
+        # 5 clouds flip to class 2, 5 to class 1 -> tie -> pick 1.
+        assert estimation._vote(np.array([2] * 5 + [1] * 5), source=0, num_classes=3) == 1
 
     def test_source_excluded_from_vote(self):
-        # 9 clouds predict the source class itself; 1 predicts class 1.
-        w = threshold_weights(theta=5.0, high_class=1, base_class=0, k=3)
-        clouds = [cloud_with_max_z(-0.5, seed=i) for i in range(9)]
-        clouds.append(cloud_with_max_z(6.0, seed=77))
-        assert vote_target_class(w, clouds, np.zeros(3), source=0) == 1
+        # 9 clouds predict the source class itself; 1 predicts class 2.
+        assert estimation._vote(np.array([0] * 9 + [2]), source=0, num_classes=3) == 2
 
-    def test_failed_estimate_rejected(self):
-        w = constant_logit_weights([1.0, 0.0])
+    def test_failed_estimate_rejected(self, monkeypatch):
+        # A search that never becomes feasible casts no vote.
+        def no_vote(*args):
+            raise AssertionError("a failed estimate was voted on")
+
+        monkeypatch.setattr(estimation, "_vote", no_vote)
+        w = constant_logit_weights([5.0, 0.0, 0.0])  # always predicts source 0
+        clouds = [generate_shape(0, 16, seed=i) for i in range(3)]
+        est = one_group(w, clouds, source=0, params=EstimationParams(tau_max=5, n_restarts=2), seed=0)
+        assert est.failed and est.target is None
         with pytest.raises(ValueError):
-            vote_target_class(w, [np.zeros((1, 3))], None, source=0)
+            vote_target_class(w, clouds, est.center, source=0)
 
 
 class TestSampleWise:

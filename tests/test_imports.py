@@ -1,8 +1,11 @@
 """Every name a module under src/pcbdet imports is used there or re-exported,
-and every module-level function is referenced somewhere in the package: a
-private one always, a public one unless UNCALLED_API names it."""
+every name it exports in __all__ is defined, and every module-level function
+is referenced somewhere in the package: a private one always, a public one
+unless UNCALLED_API names it."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,25 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def stale_exports(module) -> list:
+    """Names in the module's __all__ that it does not define."""
+    return [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+
+
+def test_checker_finds_stale_exports():
+    module = types.ModuleType("m")
+    module.__all__ = ["kept", "gone"]
+    module.kept = None
+    assert stale_exports(module) == ["gone"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_stale_exports(path):
+    # A deletion that leaves its name in __all__ (here or in pcbdet's) fails.
+    name = "pcbdet" if path.stem == "__init__" else f"pcbdet.{path.stem}"
+    assert stale_exports(importlib.import_module(name)) == []
 
 
 def module_functions(sources: dict) -> tuple:
@@ -100,7 +122,6 @@ UNCALLED_API = {
     "vote_target_class": "perfbench traces it",
     "loss_gradient_wrt_point": "the acceptance suite imports it",
     "load_pattern": "the acceptance suite imports it",
-    "distance_gradient": "package API",
 }
 
 
