@@ -83,6 +83,8 @@ class AttackConfig:
             raise ValueError("standoff must be positive")
         if self.candidates < 1:
             raise ValueError("need at least one center candidate")
+        if self.seed < 0:
+            raise ValueError(f"attack_seed = {self.seed} must be >= 0")
 
 
 def make_pattern(center, n_points: int, seed: int, radius: float = GEOMETRY_RADIUS) -> BackdoorPattern:

@@ -127,6 +127,8 @@ class TrainConfig:
             raise ValueError("outlier radius must be >= 0")
         if self.logit_scale <= 0:
             raise ValueError("logit scale must be positive")
+        if self.seed < 0:
+            raise ValueError(f"train_seed = {self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ __all__ = [
     "compute_z",
     "compute_w",
     "combined_statistic",
-    "ablation_statistics",
     "exclusion_set",
     "fit_gamma_null",
     "order_statistic_pvalue",
@@ -80,6 +79,20 @@ class ClassStatistics:
     @property
     def failed(self) -> bool:
         return self.t_hat is None
+
+    # The alternative statistic families 1/r_s, r_t/r_s and w/r_s, for
+    # reporting only (the verdict always uses r); 0 for a failed class.
+    @property
+    def inv_rs(self) -> float:
+        return 0.0 if self.failed else 1.0 / _denominator(self.r_s)
+
+    @property
+    def rt_over_rs(self) -> float:
+        return 0.0 if self.failed else self.r_t / _denominator(self.r_s)
+
+    @property
+    def w_over_rs(self) -> float:
+        return 0.0 if self.failed else self.w / _denominator(self.r_s)
 
 
 @dataclass
@@ -181,31 +194,14 @@ def compute_w(z_values) -> np.ndarray:
     return (z - lo) / (hi - lo)
 
 
+def _denominator(r_s: float) -> float:
+    """r_s, or DENOM_EPS when it vanishes."""
+    return r_s if r_s > 0.0 else DENOM_EPS
+
+
 def combined_statistic(w_s: float, r_t: float, r_s: float) -> float:
     """r = w * r_t / r_s, with a tiny epsilon denominator when r_s vanishes."""
-    denom = r_s if r_s > 0.0 else DENOM_EPS
-    return w_s * r_t / denom
-
-
-def ablation_statistics(stats) -> list:
-    """The alternative statistic families 1/r_s, r_t/r_s and w/r_s.
-
-    Reporting only; the verdict always uses r. Failed classes map to zeros.
-    """
-    out = []
-    for st in stats:
-        if st.failed:
-            out.append({"inv_rs": 0.0, "rt_over_rs": 0.0, "w_over_rs": 0.0})
-            continue
-        denom = st.r_s if st.r_s > 0.0 else DENOM_EPS
-        out.append(
-            {
-                "inv_rs": 1.0 / denom,
-                "rt_over_rs": st.r_t / denom,
-                "w_over_rs": st.w / denom,
-            }
-        )
-    return out
+    return w_s * r_t / _denominator(r_s)
 
 
 def exclusion_set(stats) -> set:

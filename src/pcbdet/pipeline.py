@@ -10,7 +10,6 @@ split.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,7 @@ from pcbdet.inference import (
     compute_z,
     detect,
 )
-from pcbdet.report import write_histogram_svg, write_report_json, write_statistics_csv
+from pcbdet.report import write_histogram_svg, write_json, write_report_json, write_statistics_csv
 
 __all__ = [
     "SPLIT_NAMES",
@@ -73,19 +72,14 @@ class DetectionInputError(ValueError):
     """Clean detection set unusable (reserve pool exhausted below minimum)."""
 
 
-def generate_splits(cfg: RunConfig) -> dict:
-    """Deterministic per-class splits; the clean/reserve clouds are generated
-    alongside but never enter the training split (disjoint seed indices)."""
+def generate_splits(cfg: RunConfig) -> tuple[dict, dict]:
+    """Deterministic per-class splits and their per-class sample-id ranges;
+    the clean/reserve clouds are generated alongside but never enter the
+    training split (disjoint seed indices)."""
     d = cfg.data
-    counts = {
-        "train": d.train_per_class,
-        "test": d.test_per_class,
-        "clean": d.clean_per_class,
-        "reserve": d.reserve_per_class,
-    }
-    splits = {}
+    counts = {name: getattr(d, f"{name}_per_class") for name in SPLIT_NAMES}
+    splits, ranges = {}, {}
     base = 0
-    ranges = {}
     for name in SPLIT_NAMES:
         clouds, labels = [], []
         for k in range(d.classes):
@@ -96,15 +90,13 @@ def generate_splits(cfg: RunConfig) -> dict:
         splits[name] = Dataset(clouds=clouds, labels=np.asarray(labels), num_classes=d.classes)
         ranges[name] = [base, base + counts[name]]
         base += counts[name]
-    splits["_ranges"] = ranges
-    return splits
+    return splits, ranges
 
 
 def gen_data_stage(cfg: RunConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    splits = generate_splits(cfg)
-    ranges = splits.pop("_ranges")
+    splits, ranges = generate_splits(cfg)
     for name in SPLIT_NAMES:
         save_dataset(splits[name], out / f"{name}.txt")
     manifest = {
@@ -117,9 +109,7 @@ def gen_data_stage(cfg: RunConfig, out_dir) -> dict:
         # splits are disjoint exactly when these ranges are.
         "sample_id_ranges": ranges,
     }
-    with open(out / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, out / "manifest.json")
     return manifest
 
 
@@ -148,9 +138,7 @@ def train_stage(cfg: RunConfig, out_dir) -> dict:
     w = train(train_ds, cfg.train)
     save_weights(w, out / CLEAN_WEIGHTS)
     metrics = {"test_accuracy": accuracy(w, test_ds), "weights": CLEAN_WEIGHTS}
-    with open(out / "train-metrics.json", "w", encoding="ascii") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(metrics, out / "train-metrics.json")
     return metrics
 
 
@@ -186,9 +174,7 @@ def attack_stage(cfg: RunConfig, out_dir, clean_weights) -> dict:
         "clean_test_accuracy": acc_clean,
         "clean_accuracy_delta": acc_clean - acc_bad,
     }
-    with open(out / "attack-metrics.json", "w", encoding="ascii") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(metrics, out / "attack-metrics.json")
     return metrics
 
 

@@ -10,10 +10,13 @@ import json
 
 import numpy as np
 
-from pcbdet.inference import UNDERFLOW_LIMIT, ClassStatistics, DetectionReport, NullFit, PValue, ablation_statistics
+from pcbdet.geometry import read_text
+from pcbdet.inference import UNDERFLOW_LIMIT, ClassStatistics, DetectionReport, NullFit, PValue
 
 __all__ = [
+    "STATS_VALUES",
     "STATS_HEADER",
+    "write_json",
     "write_statistics_csv",
     "read_statistics_csv",
     "write_report_json",
@@ -21,55 +24,53 @@ __all__ = [
     "write_histogram_svg",
 ]
 
-STATS_HEADER = "class,t_hat,r_s,r_t,z,w,r,inv_rs,rt_over_rs,w_over_rs,excluded"
+# The CSV's float columns, each a ClassStatistics attribute; the integer
+# columns class, t_hat (-1 for a failed estimate) and excluded frame them.
+STATS_VALUES = ("r_s", "r_t", "z", "w", "r", "inv_rs", "rt_over_rs", "w_over_rs")
+STATS_HEADER = ",".join(("class", "t_hat", *STATS_VALUES, "excluded"))
 
 HISTOGRAM_BINS = 20
 
 
-def _f(x: float) -> str:
-    return repr(float(x))
+def write_json(payload: dict, path) -> None:
+    """payload as indented, key-sorted ASCII JSON ending in a newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_statistics_csv(report: DetectionReport, path) -> None:
     excluded = set(report.fit.excluded) if report.fit else set()
-    extras = ablation_statistics(report.stats)
     lines = [STATS_HEADER]
-    for st, ab in zip(report.stats, extras):
-        t_hat = -1 if st.t_hat is None else st.t_hat
-        lines.append(
-            ",".join(
-                [
-                    str(st.source),
-                    str(t_hat),
-                    _f(st.r_s),
-                    _f(st.r_t),
-                    _f(st.z),
-                    _f(st.w),
-                    _f(st.r),
-                    _f(ab["inv_rs"]),
-                    _f(ab["rt_over_rs"]),
-                    _f(ab["w_over_rs"]),
-                    "1" if st.source in excluded else "0",
-                ]
-            )
-        )
+    for st in report.stats:
+        values = [repr(float(getattr(st, name))) for name in STATS_VALUES]
+        t_hat = -1 if st.failed else st.t_hat
+        lines.append(",".join([str(st.source), str(t_hat), *values, "1" if st.source in excluded else "0"]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_statistics_csv(path):
-    """Rows as dicts with parsed numbers (t_hat -1 means a failed estimate)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != STATS_HEADER:
-        raise ValueError(f"{path}: not a statistics CSV")
+    """Rows as dicts with parsed numbers (t_hat -1 means a failed estimate).
+
+    A wrong header, a wrong field count or an unparsable value raises
+    ValueError naming the file and the 1-based line.
+    """
     names = STATS_HEADER.split(",")
+    lines = [(n, ln.strip()) for n, ln in enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
+    if not lines or lines[0][1] != STATS_HEADER:
+        raise ValueError(f"{path}: line {lines[0][0] if lines else 1}: not a statistics CSV")
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
-        row = dict(zip(names, parts))
-        for k in names:
-            row[k] = int(row[k]) if k in ("class", "t_hat", "excluded") else float(row[k])
+        if len(parts) != len(names):
+            raise ValueError(f"{path}: line {lineno}: expected {len(names)} fields, got {len(parts)}")
+        row = {}
+        for name, value in zip(names, parts):
+            try:
+                row[name] = float(value) if name in STATS_VALUES else int(value)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: bad {name} value {value!r}") from None
         rows.append(row)
     return rows
 
@@ -90,9 +91,7 @@ def write_report_json(report: DetectionReport, path) -> None:
         "J": report.num_excluded,
         "K": report.num_classes,
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def read_report(stats_path, report_path) -> DetectionReport:
@@ -101,11 +100,21 @@ def read_report(stats_path, report_path) -> DetectionReport:
     Writing it back reproduces both files byte for byte; the fit's values
     are not stored, so fit.values comes back empty. The JSON's verdict,
     s_max, inferred_target and K are not read: the report derives them from
-    the statistics, pv and phi.
+    the statistics, pv and phi. A JSON that does not parse, or lacks a key
+    that is read or holds a non-number there, raises ValueError naming it.
     """
     rows = read_statistics_csv(stats_path)
-    with open(report_path, "r", encoding="ascii") as fh:
-        rep = json.load(fh)
+    try:
+        rep = json.loads(read_text(report_path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{report_path}: line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(rep, dict):
+        raise ValueError(f"{report_path}: not a JSON object")
+    for key in ("pv", "log_pv", "order_pv", "order_log_pv", "phi", "J", "gamma_shape", "gamma_scale"):
+        if key not in rep:
+            raise ValueError(f"{report_path}: missing key {key!r}")
+        if not isinstance(rep[key], (int, float, type(None))):
+            raise ValueError(f"{report_path}: {key} = {rep[key]!r} is not a number")
     stats = [
         ClassStatistics(
             source=row["class"],
@@ -129,7 +138,7 @@ def read_report(stats_path, report_path) -> DetectionReport:
         pvalue=pvalue(rep["pv"], rep["log_pv"]),
         phi=rep["phi"],
         num_excluded=rep["J"],
-        order_pvalue=pvalue(rep.get("order_pv"), rep.get("order_log_pv")),
+        order_pvalue=pvalue(rep["order_pv"], rep["order_log_pv"]),
     )
 
 

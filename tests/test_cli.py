@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from pcbdet import pipeline
 from pcbdet.attack import AttackConfig
 from pcbdet.cli import main
-from pcbdet.config import RunConfig, default_config, load_config, save_config
-from pcbdet.classifier import load_weights, predict
+from pcbdet.config import SECTIONS, DataConfig, RunConfig, default_config, load_config, save_config
+from pcbdet.classifier import TrainConfig, load_weights, predict
+from pcbdet.estimation import EstimationParams
 from pcbdet.geometry import load_dataset
 from pcbdet.inference import (
     ClassStatistics,
@@ -117,6 +119,76 @@ class TestConfig:
         path = tmp_path / "c.cfg"
         path.write_text("".join(f"{split}_per_class = 0\n" for split in ("train", "test", "clean", "reserve")))
         assert load_config(path).data.train_per_class == 0
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("pi = 0.5\n# again\npi = 0.7\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line 3: repeated key 'pi', first set at line 1")):
+            load_config(path)
+
+    def test_every_section_field_has_one_key(self):
+        keys = [key for _, _, _, section in SECTIONS for key in section]
+        assert len(keys) == len(set(keys))
+        section_attrs = {attr for _, _, attr, _ in SECTIONS if attr is not None}
+        for _, cls, attr, section in SECTIONS:
+            names = [f.name for f in fields(cls) if attr is not None or f.name not in section_attrs]
+            assert sorted(section.values()) == sorted(names), cls.__name__
+
+    def test_every_key_round_trips(self, tmp_path):
+        # Each key gets a value that differs from its default and from every
+        # other key's value, so a key wired to the wrong field shows.
+        text = """\
+classes = 7
+train_per_class = 11
+test_per_class = 12
+clean_per_class = 13
+reserve_per_class = 14
+points_per_cloud = 17
+data_seed = 18
+epochs = 19
+batch_size = 20
+learning_rate = 0.021
+train_seed = 22
+outlier_points = 23
+outlier_radius = 0.24
+logit_scale = 0.25
+attack_source = 1
+attack_target = 6
+poison_count = 26
+pattern_points = 27
+pattern_radius = 0.28
+attack_seed = 29
+standoff = 0.3
+center_candidates = 31
+pi = 0.32
+delta = 0.33
+tau_max = 34
+alpha = 3.5
+lambda0 = 0.036
+restarts = 37
+detect_seed = 38
+phi = 0.039
+out_dir = runs/forty
+"""
+        expected = RunConfig(
+            data=DataConfig(classes=7, train_per_class=11, test_per_class=12, clean_per_class=13,
+                            reserve_per_class=14, points_per_cloud=17, seed=18),
+            train=TrainConfig(epochs=19, batch_size=20, learning_rate=0.021, seed=22, outlier_points=23,
+                              outlier_radius=0.24, logit_scale=0.25),
+            attack=AttackConfig(source=1, target=6, poison_count=26, pattern_points=27, pattern_radius=0.28,
+                                seed=29, standoff=0.3, candidates=31),
+            estimation=EstimationParams(pi=0.32, delta=0.33, tau_max=34, alpha=3.5, lambda0=0.036, n_restarts=37),
+            detect_seed=38,
+            phi=0.039,
+            out_dir="runs/forty",
+        )
+        given, saved = tmp_path / "given.cfg", tmp_path / "saved.cfg"
+        given.write_text(text)
+        assert load_config(given) == expected
+        save_config(expected, saved)
+        lines = [ln for ln in saved.read_text().splitlines() if ln and not ln.startswith("#")]
+        assert lines == text.splitlines()
+        assert load_config(saved) == expected
 
     def test_default_attack_section(self):
         # RunConfig holds the attack module's own config dataclass.
@@ -236,6 +308,14 @@ def mini_run(tmp_path_factory):
     return cfg_path, out
 
 
+@pytest.fixture(scope="module")
+def detected(mini_run):
+    """The mini run's directory after a detect on the clean weights, prefix dr."""
+    cfg_path, out = mini_run
+    main(["detect", "--config", str(cfg_path), "--weights", str(out / "clean.weights"), "--prefix", "dr"])
+    return out
+
+
 class TestCliPipeline:
     def test_stages_produce_artifacts(self, mini_run):
         _, out = mini_run
@@ -338,6 +418,40 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert f"error: {path}: {key} = " in err and "classes = " in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["data_seed", "train_seed", "attack_seed", "detect_seed"])
+    def test_negative_seed_fails_at_load(self, tmp_path, capsys, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = -3\n")
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {path}: {key} = -3 must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "which, edit, message",
+        [
+            ("csv", lambda t: t.replace(",0\n", ",\n", 1), "line 2: bad excluded value ''"),
+            ("csv", lambda t: t.replace(",0\n", "\n", 1), "line 2: expected 11 fields, got 10"),
+            ("csv", lambda t: t.replace("t_hat", "t", 1), "line 1: not a statistics CSV"),
+            ("csv", lambda t: t + "3,x\n", "line 10: expected 11 fields, got 2"),
+            ("json", lambda t: re.sub(r'  "gamma_shape": .*\n', "", t), "missing key 'gamma_shape'"),
+            ("json", lambda t: t.replace('"phi": 0.05', '"phi": "0.05"'), "phi = '0.05' is not a number"),
+            ("json", lambda t: t[: len(t) // 2], "line "),
+        ],
+        ids=["csv-empty-field", "csv-missing-field", "csv-header", "csv-short-row", "json-missing-key",
+             "json-string", "json-truncated"],
+    )
+    def test_report_input_fails_at_the_boundary(self, detected, tmp_path, capsys, which, edit, message):
+        paths = {"csv": tmp_path / "s.csv", "json": tmp_path / "r.json"}
+        shutil.copy(detected / "dr-statistics.csv", paths["csv"])
+        shutil.copy(detected / "dr-report.json", paths["json"])
+        paths[which].write_text(edit(paths[which].read_text()))
+        capsys.readouterr()
+        code = main(["report", "--stats", str(paths["csv"]), "--report", str(paths["json"]),
+                     "--out", str(tmp_path / "h.svg")])
+        assert code == 1
+        assert f"error: {paths[which]}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "h.svg").exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["detect", "--config", str(tmp_path / "missing.cfg"), "--weights", "x"])

@@ -8,7 +8,6 @@ from pcbdet.inference import (
     ClassStatistics,
     DegenerateNullError,
     NullFit,
-    ablation_statistics,
     combined_statistic,
     compute_r_s,
     compute_w,
@@ -79,20 +78,17 @@ class TestBasicStatistics:
 class TestAblation:
     def test_families(self):
         st = ClassStatistics(source=0, t_hat=1, r_s=0.5, r_t=1.0, z=0.4, w=0.4, r=0.8)
-        out = ablation_statistics([st])[0]
-        assert out["inv_rs"] == pytest.approx(2.0)
-        assert out["rt_over_rs"] == pytest.approx(2.0)
-        assert out["w_over_rs"] == pytest.approx(0.8)
+        assert st.inv_rs == pytest.approx(2.0)
+        assert st.rt_over_rs == pytest.approx(2.0)
+        assert st.w_over_rs == pytest.approx(0.8)
 
     def test_failed_class_all_zero(self):
         st = ClassStatistics(source=0, t_hat=None, r_s=0.0, r_t=0.0, z=0.0, w=0.0, r=0.0)
-        out = ablation_statistics([st])[0]
-        assert out == {"inv_rs": 0.0, "rt_over_rs": 0.0, "w_over_rs": 0.0}
+        assert (st.inv_rs, st.rt_over_rs, st.w_over_rs) == (0.0, 0.0, 0.0)
 
     def test_w_one_matches_inverse(self):
         st = ClassStatistics(source=0, t_hat=1, r_s=0.25, r_t=1.0, z=1.0, w=1.0, r=4.0)
-        out = ablation_statistics([st])[0]
-        assert out["w_over_rs"] == out["inv_rs"]
+        assert st.w_over_rs == st.inv_rs
 
 
 class TestExclusion:

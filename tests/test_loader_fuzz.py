@@ -10,6 +10,8 @@ from pcbdet.attack import BackdoorPattern, load_pattern, make_pattern, save_patt
 from pcbdet.classifier import ClassifierWeights, init_weights, load_weights, save_weights
 from pcbdet.config import RunConfig, default_config, load_config, save_config
 from pcbdet.geometry import Dataset, generate_shape, load_dataset, save_dataset
+from pcbdet.inference import ClassStatistics, DetectionReport, detect
+from pcbdet.report import STATS_HEADER, read_report, read_statistics_csv, write_report_json, write_statistics_csv
 
 CLASSES = 3
 
@@ -34,6 +36,32 @@ def valid_config(cfg):
     assert isinstance(cfg, RunConfig)
 
 
+def valid_rows(rows):
+    for row in rows:
+        assert list(row) == STATS_HEADER.split(",")
+        assert all(isinstance(value, (int, float)) for value in row.values())
+
+
+def valid_report(report):
+    assert isinstance(report, DetectionReport)
+
+
+# A detect report with a fit, three of its classes failed; the report entry
+# fuzzes the JSON and reads it with the valid CSV of the same report.
+REPORT = detect(
+    [
+        ClassStatistics(source=s, t_hat=None if s % 3 == 0 else (s + 1) % 8, r_s=0.5 + 0.1 * s, r_t=0.7,
+                        z=0.1 * s, w=0.05 * s, r=0.0 if s % 3 == 0 else 0.1 * s * s)
+        for s in range(8)
+    ]
+)
+
+
+def write_report_pair(path):
+    write_statistics_csv(REPORT, path.with_name("report-statistics.csv"))
+    write_report_json(REPORT, path)
+
+
 # name -> (file name, writer of the valid file, loader, validity check)
 LOADERS = {
     "dataset": (
@@ -48,6 +76,9 @@ LOADERS = {
                 load_pattern, valid_pattern),
     "weights": ("w.weights", lambda p: save_weights(init_weights(CLASSES, seed=0), p), load_weights, valid_weights),
     "config": ("run.cfg", lambda p: save_config(default_config(), p), load_config, valid_config),
+    "statistics": ("statistics.csv", lambda p: write_statistics_csv(REPORT, p), read_statistics_csv, valid_rows),
+    "report": ("report.json", write_report_pair, lambda p: read_report(p.with_name("report-statistics.csv"), p),
+               valid_report),
 }
 
 

@@ -99,8 +99,8 @@ class TestGenerateSplits:
         cfg.data.clean_per_class = 2
         cfg.data.reserve_per_class = 1
         cfg.data.points_per_cloud = 16
-        splits = generate_splits(cfg)
-        ranges = splits.pop("_ranges")
+        splits, ranges = generate_splits(cfg)
+        assert list(splits) == list(ranges) == ["train", "test", "clean", "reserve"]
         assert len(splits["train"]) == 15
         assert len(splits["reserve"]) == 3
         seen = set()
@@ -117,7 +117,7 @@ class TestGenerateSplits:
         cfg.data.clean_per_class = 2
         cfg.data.reserve_per_class = 1
         cfg.data.points_per_cloud = 16
-        splits = generate_splits(cfg)
+        splits, _ = generate_splits(cfg)
         for Xc in splits["clean"].clouds:
             for Xt in splits["train"].clouds:
                 assert not np.array_equal(Xc, Xt)
