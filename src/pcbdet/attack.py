@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pcbdet.classifier import ClassifierWeights, insertion_logits, pool_vector, predict
-from pcbdet.geometry import Dataset, as_cloud, as_point, cloud_distances, read_text
+from pcbdet.geometry import Dataset, as_cloud, as_point, cloud_distances
 
 __all__ = [
     "BackdoorPattern",
@@ -23,7 +23,6 @@ __all__ = [
     "poison_dataset",
     "attack_success_rate",
     "save_pattern",
-    "load_pattern",
 ]
 
 # Radius of the ball the local offsets are drawn from, in unit-ball scale.
@@ -169,43 +168,14 @@ def attack_success_rate(w: ClassifierWeights, held_out_source, pattern: Backdoor
 
 
 # ---------------------------------------------------------------------------
-# Pattern serialization: "n' radius", center line, then n' offset lines
+# Pattern file: "n' radius", center line, then n' offset lines
 # ---------------------------------------------------------------------------
 
 
 def save_pattern(pattern: BackdoorPattern, path) -> None:
+    """Write the trigger as a record of the attack; no stage reads it back."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{len(pattern.offsets)} {repr(float(pattern.radius))}\n")
         fh.write(" ".join(repr(float(v)) for v in pattern.center) + "\n")
         for row in pattern.offsets:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_pattern(path) -> BackdoorPattern:
-    """Read a pattern file; a malformed or truncated one raises ValueError
-    naming the file and the 1-based line."""
-    lines = read_text(path).split("\n")
-    rows = [(no, ln.split()) for no, ln in enumerate(lines, start=1) if ln.strip()]
-    end = rows[-1][0] + 1 if rows else 1
-
-    def row(k, types, what):
-        no, parts = rows[k] if k < len(rows) else (end, [])
-        try:
-            if len(parts) != len(types):
-                raise ValueError
-            vals = [t(p) for t, p in zip(types, parts)]
-        except ValueError:
-            raise ValueError(f"{path}: line {no}: expected {what}") from None
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"{path}: line {no}: non-finite value")
-        return vals
-
-    n, radius = row(0, (int, float), "'n_prime radius'")
-    if n < 1:
-        raise ValueError(f"{path}: line {rows[0][0]}: a pattern needs at least one point")
-    center = row(1, (float,) * 3, "the center 'x y z'")
-    offsets = [row(2 + i, (float,) * 3, f"offset {i + 1} of {n}, 'x y z'") for i in range(n)]
-    try:
-        return BackdoorPattern(center=np.array(center), offsets=np.array(offsets), radius=radius)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

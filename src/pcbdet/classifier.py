@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pcbdet.geometry import Dataset, as_cloud, as_point
+from pcbdet.geometry import Dataset, as_cloud
 
 __all__ = [
     "ClassifierWeights",
     "TrainConfig",
-    "LossSpec",
     "init_weights",
     "forward_logits",
     "predict",
@@ -31,7 +30,6 @@ __all__ = [
     "insertion_logits",
     "insertion_gradient",
     "margin_cotangent",
-    "loss_gradient_wrt_point",
     "train",
     "accuracy",
     "save_weights",
@@ -129,25 +127,6 @@ class TrainConfig:
             raise ValueError("logit scale must be positive")
         if self.seed < 0:
             raise ValueError(f"train_seed = {self.seed} must be >= 0")
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Network-dependent scalar whose gradient wrt an inserted point is wanted.
-
-    kind "untargeted": h(source | X+{c}) - max_{k != source} h(k | X+{c})
-    kind "targeted":   h(source | X+{c}) - h(target | X+{c})
-    """
-
-    kind: str
-    source: int
-    target: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("untargeted", "targeted"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "targeted" and self.target is None:
-            raise ValueError("targeted loss needs a target class")
 
 
 def init_weights(num_classes: int, seed: int) -> ClassifierWeights:
@@ -289,25 +268,6 @@ def insertion_gradient(w: ClassifierWeights, cache, g_logits: np.ndarray) -> np.
     g_a1 = g_z2 @ w.w2.T
     g_z1 = g_a1 * (cache["a1"] > 0.0)
     return g_z1 @ w.w1.T
-
-
-def loss_gradient_wrt_point(w: ClassifierWeights, X, c, spec: LossSpec) -> np.ndarray:
-    """Exact gradient wrt c of the network term selected by spec, on X + {c}.
-
-    The distance regularizer is not included; callers add lambda times the
-    unit direction of geometry.cloud_distances themselves.
-    """
-    X = as_cloud(X)
-    c = as_point(c)
-    w.validate()
-    K = w.num_classes
-    target = spec.target if spec.kind == "targeted" else None
-    if not 0 <= spec.source < K:
-        raise ValueError("source class out of range")
-    if target is not None and not 0 <= target < K:
-        raise ValueError("target class out of range")
-    logits, cache = insertion_logits(w, pool_vector(w, X)[None, :], c)  # (1, K)
-    return insertion_gradient(w, cache, margin_cotangent(logits, spec.source, target))
 
 
 def margin_cotangent(logits: np.ndarray, source, target) -> np.ndarray:

@@ -7,6 +7,7 @@ detect: 0 clean, 2 attacked, 3 inconclusive, 1 error (a usage error too).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from pcbdet.config import default_config, load_config, save_config
@@ -55,9 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     cfg = load_config(args.config)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
+    # replace, not assignment, so that the override passes RunConfig's checks.
+    return cfg if args.out is None else dataclasses.replace(cfg, out_dir=args.out)
 
 
 def main(argv=None) -> int:

@@ -61,6 +61,8 @@ class RunConfig:
             raise ValueError(f"detect_seed = {self.detect_seed} must be >= 0")
         if not 0.0 < self.phi < 1.0:
             raise ValueError("phi must be in (0, 1)")
+        if not self.out_dir.strip():
+            raise ValueError(f"out_dir = {self.out_dir!r} names no directory")
 
 
 # One row per file section, in file order: comment line, section dataclass,

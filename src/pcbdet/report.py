@@ -7,6 +7,7 @@ round-trip form) and nothing carries a timestamp.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -53,8 +54,8 @@ def write_statistics_csv(report: DetectionReport, path) -> None:
 def read_statistics_csv(path):
     """Rows as dicts with parsed numbers (t_hat -1 means a failed estimate).
 
-    A wrong header, a wrong field count or an unparsable value raises
-    ValueError naming the file and the 1-based line.
+    A wrong header, a wrong field count or an unparsable or non-finite
+    value raises ValueError naming the file and the 1-based line.
     """
     names = STATS_HEADER.split(",")
     lines = [(n, ln.strip()) for n, ln in enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
@@ -69,6 +70,8 @@ def read_statistics_csv(path):
         for name, value in zip(names, parts):
             try:
                 row[name] = float(value) if name in STATS_VALUES else int(value)
+                if name in STATS_VALUES and not math.isfinite(row[name]):
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad {name} value {value!r}") from None
         rows.append(row)
@@ -101,7 +104,8 @@ def read_report(stats_path, report_path) -> DetectionReport:
     are not stored, so fit.values comes back empty. The JSON's verdict,
     s_max, inferred_target and K are not read: the report derives them from
     the statistics, pv and phi. A JSON that does not parse, or lacks a key
-    that is read or holds a non-number there, raises ValueError naming it.
+    that is read or holds a non-number or a non-finite number there (null
+    stays valid), raises ValueError naming the file and the key.
     """
     rows = read_statistics_csv(stats_path)
     try:
@@ -115,6 +119,8 @@ def read_report(stats_path, report_path) -> DetectionReport:
             raise ValueError(f"{report_path}: missing key {key!r}")
         if not isinstance(rep[key], (int, float, type(None))):
             raise ValueError(f"{report_path}: {key} = {rep[key]!r} is not a number")
+        if isinstance(rep[key], float) and not math.isfinite(rep[key]):
+            raise ValueError(f"{report_path}: {key} = {rep[key]!r} is not finite")
     stats = [
         ClassStatistics(
             source=row["class"],

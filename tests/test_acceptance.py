@@ -10,7 +10,6 @@ standard estimation settings (pi 0.9, step 0.1, 3000 iterations, scaling 1.5,
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -18,19 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcbdet.attack import attack_success_rate, load_pattern
 from pcbdet.classifier import (
-    LossSpec,
-    TrainConfig,
     forward_logits,
     init_weights,
-    load_weights,
-    loss_gradient_wrt_point,
+    insertion_gradient,
+    insertion_logits,
+    margin_cotangent,
     pool_vector,
 )
 from pcbdet.config import default_config
-from pcbdet.estimation import EstimationParams
-from pcbdet.geometry import load_dataset
 from pcbdet import pipeline
 from pcbdet.inference import (
     NullFit,
@@ -127,7 +122,8 @@ class TestCriteria:
                 e = np.zeros(3)
                 e[j] = h
                 fd[j] = (cw(c + e) - cw(c - e)) / (2 * h)
-            g = loss_gradient_wrt_point(w, X, c, LossSpec("untargeted", source))
+            logits, cache = insertion_logits(w, pool_vector(w, X)[None], c)
+            g = insertion_gradient(w, cache, margin_cotangent(logits, source, None))
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-8)
             worst = max(worst, rel)
             checked += 1

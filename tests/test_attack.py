@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from pcbdet.attack import (
     attack_success_rate,
     choose_center,
     embed_pattern,
-    load_pattern,
     make_pattern,
     poison_dataset,
     save_pattern,
@@ -38,33 +35,12 @@ class TestPattern:
         assert np.linalg.norm(a.offsets, axis=1).max() <= GEOMETRY_RADIUS
 
     def test_round_trip(self, tmp_path):
-        p = make_pattern([0.3, -0.2, 1.1], 3, seed=9)
+        # pattern.txt is a record of the attack that no stage reads back: its
+        # exact text, with repr values that read back bit for bit.
+        p = BackdoorPattern(center=[0.3, -0.2, 1.1], offsets=[[0.01, 0.0, -0.02], [0.1 / 3, 0.0, 0.0]])
         f = tmp_path / "pattern.txt"
         save_pattern(p, f)
-        back = load_pattern(f)
-        np.testing.assert_array_equal(back.center, p.center)
-        np.testing.assert_array_equal(back.offsets, p.offsets)
-
-    @pytest.mark.parametrize(
-        "keep, replace, line",
-        [
-            (0, None, 1),  # empty file
-            (1, None, 2),  # no center line
-            (4, None, 5),  # truncated: 2 of 3 offset lines
-            (5, (0, "3\n"), 1),  # header without the radius
-            (5, (1, "0.1 nan 0.2\n"), 2),
-            (5, (3, "0.01 0.02\n"), 4),  # a 2-coordinate offset
-        ],
-    )
-    def test_malformed_file_names_file_and_line(self, tmp_path, keep, replace, line):
-        f = tmp_path / "pattern.txt"
-        save_pattern(make_pattern([0.3, -0.2, 1.1], 3, seed=9), f)
-        lines = f.read_text().splitlines(keepends=True)[:keep]
-        if replace is not None:
-            lines[replace[0]] = replace[1]
-        f.write_text("".join(lines))
-        with pytest.raises(ValueError, match=re.escape(f"{f}: line {line}:")):
-            load_pattern(f)
+        assert f.read_text(encoding="ascii") == "2 0.05\n0.3 -0.2 1.1\n0.01 0.0 -0.02\n0.03333333333333333 0.0 0.0\n"
 
 
 class TestEmbed:

@@ -14,13 +14,7 @@ from pcbdet.config import SECTIONS, DataConfig, RunConfig, default_config, load_
 from pcbdet.classifier import TrainConfig, load_weights, predict
 from pcbdet.estimation import EstimationParams
 from pcbdet.geometry import load_dataset
-from pcbdet.inference import (
-    ClassStatistics,
-    DetectionReport,
-    NullFit,
-    PValue,
-    detect,
-)
+from pcbdet.inference import ClassStatistics, DetectionReport, NullFit, PValue
 from pcbdet.report import (
     STATS_HEADER,
     read_report,
@@ -427,6 +421,18 @@ class TestCliPipeline:
         assert f"error: {path}: {key} = -3 must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("lines, out", [("out_dir =\n", None), ("", "")], ids=["config", "flag"])
+    def test_empty_out_dir_fails_at_load(self, tmp_path, monkeypatch, capsys, lines, out):
+        # An empty out_dir would put every output in the working directory.
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.cfg"
+        path.write_text(lines)
+        args = ["gen-data", "--config", str(path)] + ([] if out is None else ["--out", out])
+        assert main(args) == 1
+        where = f"{path}: " if out is None else ""
+        assert f"error: {where}out_dir = '' names no directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     @pytest.mark.parametrize(
         "which, edit, message",
         [
@@ -437,9 +443,13 @@ class TestCliPipeline:
             ("json", lambda t: re.sub(r'  "gamma_shape": .*\n', "", t), "missing key 'gamma_shape'"),
             ("json", lambda t: t.replace('"phi": 0.05', '"phi": "0.05"'), "phi = '0.05' is not a number"),
             ("json", lambda t: t[: len(t) // 2], "line "),
+            ("csv", lambda t: re.sub(r"^(0,(?:[^,]*,){5})[^,]*", r"\1nan", t, flags=re.M),
+             "line 2: bad r value 'nan'"),
+            ("json", lambda t: re.sub(r'"gamma_scale": [^,\n]*', '"gamma_scale": NaN', t),
+             "gamma_scale = nan is not finite"),
         ],
         ids=["csv-empty-field", "csv-missing-field", "csv-header", "csv-short-row", "json-missing-key",
-             "json-string", "json-truncated"],
+             "json-string", "json-truncated", "csv-nan", "json-nan"],
     )
     def test_report_input_fails_at_the_boundary(self, detected, tmp_path, capsys, which, edit, message):
         paths = {"csv": tmp_path / "s.csv", "json": tmp_path / "r.json"}

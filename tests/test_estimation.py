@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcbdet import estimation
-from pcbdet.classifier import ClassifierWeights, forward_logits, init_weights, predict
+from pcbdet.classifier import init_weights, predict
 from pcbdet.estimation import (
     EstimationParams,
     SearchProblem,

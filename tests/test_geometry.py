@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pcbdet import geometry
 from pcbdet.geometry import (
     Dataset,
     SHAPE_NAMES,

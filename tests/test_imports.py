@@ -1,7 +1,7 @@
-"""Every name a module under src/pcbdet imports is used there or re-exported,
-every name it exports in __all__ is defined, and every module-level function
-is referenced somewhere in the package: a private one always, a public one
-unless UNCALLED_API names it."""
+"""Every name a module under src/pcbdet or tests/ imports is used there or
+re-exported, every name a package module exports in __all__ is defined, and
+every module-level function is referenced somewhere in the package: a private
+one always, a public one unless UNCALLED_API names it."""
 
 import ast
 import importlib
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pcbdet"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "pcbdet"
 
 
 def unused_imports(source: str) -> list:
@@ -35,7 +36,11 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["c", "os"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -120,8 +125,6 @@ def test_no_dead_private_helpers():
 UNCALLED_API = {
     "point_to_cloud_distance": "perfbench traces it",
     "vote_target_class": "perfbench traces it",
-    "loss_gradient_wrt_point": "the acceptance suite imports it",
-    "load_pattern": "the acceptance suite imports it",
 }
 
 

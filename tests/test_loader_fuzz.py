@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcbdet.attack import BackdoorPattern, load_pattern, make_pattern, save_pattern
 from pcbdet.classifier import ClassifierWeights, init_weights, load_weights, save_weights
 from pcbdet.config import RunConfig, default_config, load_config, save_config
 from pcbdet.geometry import Dataset, generate_shape, load_dataset, save_dataset
@@ -23,10 +22,6 @@ def valid_dataset(ds):
         assert 0 <= lab < CLASSES
 
 
-def valid_pattern(pattern):
-    assert isinstance(pattern, BackdoorPattern) and np.isfinite(pattern.points).all()
-
-
 def valid_weights(w):
     assert isinstance(w, ClassifierWeights)
     w.validate()
@@ -39,7 +34,7 @@ def valid_config(cfg):
 def valid_rows(rows):
     for row in rows:
         assert list(row) == STATS_HEADER.split(",")
-        assert all(isinstance(value, (int, float)) for value in row.values())
+        assert all(isinstance(value, (int, float)) and np.isfinite(value) for value in row.values())
 
 
 def valid_report(report):
@@ -72,8 +67,6 @@ LOADERS = {
         lambda p: load_dataset(p, CLASSES),
         valid_dataset,
     ),
-    "pattern": ("pattern.txt", lambda p: save_pattern(make_pattern([1.2, 0.0, 0.0], 3, seed=1), p),
-                load_pattern, valid_pattern),
     "weights": ("w.weights", lambda p: save_weights(init_weights(CLASSES, seed=0), p), load_weights, valid_weights),
     "config": ("run.cfg", lambda p: save_config(default_config(), p), load_config, valid_config),
     "statistics": ("statistics.csv", lambda p: write_statistics_csv(REPORT, p), read_statistics_csv, valid_rows),

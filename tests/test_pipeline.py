@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcbdet.classifier import init_weights, predict
+from pcbdet.classifier import init_weights
 from pcbdet.estimation import EstimationParams, SearchProblem, estimate_group_location
 from pcbdet.geometry import Dataset, generate_shape
 from pcbdet.pipeline import (
