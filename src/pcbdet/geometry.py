@@ -351,6 +351,39 @@ def save_dataset(ds: Dataset, path) -> None:
                 fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
 
 
+def _points_at_once(block: list, n: int):
+    """The record's n point lines as an (n, 3) array in one conversion, or
+    None when they are not n lines of three numbers each. loadtxt reads
+    each number it accepts with the string-to-double conversion float()
+    uses, so the values are bit-identical."""
+    # A short block (a truncated file) or an empty first line (loadtxt would
+    # warn that it found no data) goes to the line-by-line reader.
+    if len(block) < n or not block[0].strip():
+        return None
+    try:
+        rows = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape == (n, 3) else None
+
+
+def _points_by_line(path, lines: list, i: int, n: int) -> np.ndarray:
+    """The points of the record whose header is at index i, one line at a
+    time; the first line that is not 'x y z' raises ValueError naming the
+    file and the line."""
+    # Never more rows than the file has lines left, whatever n claims.
+    rows = np.empty((min(n, len(lines) - i - 1), 3))
+    for j in range(n):
+        try:
+            x, y, z = lines[i + 1 + j].split()
+            rows[j] = [float(x), float(y), float(z)]
+        except (ValueError, IndexError):
+            raise ValueError(
+                f"{path}: line {i + 2 + j}: expected 'x y z', point {j + 1} of the record at line {i + 1}"
+            ) from None
+    return rows
+
+
 def load_dataset(path, num_classes: int) -> Dataset:
     """Read a dataset file; a malformed, truncated or non-finite record, or a
     label outside [0, num_classes), raises ValueError naming the file and the
@@ -372,16 +405,9 @@ def load_dataset(path, num_classes: int) -> Dataset:
             raise ValueError(f"{path}: line {i + 1}: a record needs at least one point")
         if not 0 <= lab < num_classes:
             raise ValueError(f"{path}: line {i + 1}: label {lab} out of range")
-        # Never more rows than the file has lines left, whatever n claims.
-        rows = np.empty((min(n, len(lines) - i - 1), 3))
-        for j in range(n):
-            try:
-                x, y, z = lines[i + 1 + j].split()
-                rows[j] = [float(x), float(y), float(z)]
-            except (ValueError, IndexError):
-                raise ValueError(
-                    f"{path}: line {i + 2 + j}: expected 'x y z', point {j + 1} of the record at line {i + 1}"
-                ) from None
+        rows = _points_at_once(lines[i + 1 : i + 1 + n], n)
+        if rows is None:
+            rows = _points_by_line(path, lines, i, n)
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             raise ValueError(f"{path}: line {i + 2 + int(np.argmin(finite))}: non-finite coordinate")

@@ -54,8 +54,9 @@ def write_statistics_csv(report: DetectionReport, path) -> None:
 def read_statistics_csv(path):
     """Rows as dicts with parsed numbers (t_hat -1 means a failed estimate).
 
-    A wrong header, a wrong field count or an unparsable or non-finite
-    value raises ValueError naming the file and the 1-based line.
+    A wrong header, a wrong field count, an unparsable or non-finite value,
+    or a negative one in a column other than z raises ValueError naming the
+    file and the 1-based line.
     """
     names = STATS_HEADER.split(",")
     lines = [(n, ln.strip()) for n, ln in enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
@@ -74,6 +75,10 @@ def read_statistics_csv(path):
                     raise ValueError
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad {name} value {value!r}") from None
+            # z is a cosine; every other float column is a distance, a
+            # normalized score or a ratio of them, never below 0.
+            if name in STATS_VALUES and name != "z" and row[name] < 0:
+                raise ValueError(f"{path}: line {lineno}: {name} = {value} is negative")
         rows.append(row)
     return rows
 

@@ -12,6 +12,10 @@ from pcbdet.classifier import (
     ClassifierWeights,
     TrainConfig,
     WeightsFormatError,
+    _batch_backward,
+    _batch_forward,
+    _point_features,
+    _softmax,
     accuracy,
     forward_logits,
     init_weights,
@@ -25,7 +29,7 @@ from pcbdet.classifier import (
     train,
 )
 from pcbdet.geometry import Dataset, generate_shape
-from tests.oracles import distance_to_cloud, mean_cross_entropy
+from tests.oracles import dense_batch_backward, distance_to_cloud, mean_cross_entropy
 
 
 def reference_forward(w, X):
@@ -294,6 +298,119 @@ class TestTraining:
         bad = Dataset(clouds=data.clouds, labels=data.labels, num_classes=4)
         with pytest.raises(ValueError, match="class 3"):
             train(bad, TrainConfig(epochs=1))
+
+
+def training_batch(sizes, seed=0, duplicate=0):
+    """Clouds of the given sizes plus two outlier points each, as train
+    stacks them; the first `duplicate` points of each cloud appear twice."""
+    rng = np.random.default_rng(seed)
+    clouds = []
+    for b, size in enumerate(sizes):
+        X = generate_shape(b % 5, size - duplicate, seed + b)
+        clouds.append(np.vstack([X, X[:duplicate], rng.uniform(-0.9, 0.9, size=(2, 3))]))
+    return np.stack(clouds)
+
+
+def train_cotangent(logits, labels):
+    """d(mean cross-entropy)/d(logits), as train feeds the backward pass."""
+    g = _softmax(logits)
+    g[np.arange(len(labels)), labels] -= 1.0
+    return g / len(labels)
+
+
+def with_a2(w, fwd):
+    """fwd plus the per-point features a2, which the dense oracle reads."""
+    return dict(fwd, a2=_point_features(w, fwd["pts"])[1])
+
+
+def assert_matches_dense(w, fwd, g_logits):
+    """_batch_backward equals the dense oracle within the rounding of the
+    longest sum either takes: (B * n + 256) * eps times the gradient that
+    the oracle gives for the absolute values of every weight, point and
+    cotangent, through the same ReLU and max-pool gates."""
+    got = _batch_backward(w, fwd, g_logits)
+    fwd = with_a2(w, fwd)
+    want = dense_batch_backward(w, fwd, g_logits)
+    abs_w = ClassifierWeights(*(np.abs(a) for a in w.arrays()))
+    scale = dense_batch_backward(abs_w, dict(fwd, pts=np.abs(fwd["pts"])), np.abs(g_logits))
+    B, n, _ = fwd["pts"].shape
+    for name, a, b, s in zip("w1 b1 w2 b2 w3 b3 w4 b4".split(), got, want, scale):
+        assert a.shape == b.shape, name
+        assert np.all(np.abs(a - b) <= (B * n + 256) * np.finfo(float).eps * s), name
+    return got, want
+
+
+class TestBatchBackward:
+    """The winner-rows backward pass against the dense one it replaced."""
+
+    @pytest.mark.parametrize("B", [1, 16])
+    @pytest.mark.parametrize("n", [258, 290])
+    def test_matches_dense(self, small_weights, B, n):
+        pts = training_batch([n - 2] * B, seed=B + n)
+        fwd = _batch_forward(small_weights, pts)
+        labels = np.arange(B) % small_weights.num_classes
+        got, want = assert_matches_dense(small_weights, fwd, train_cotangent(fwd["logits"], labels))
+        # The bias gradients add the same nonzero terms in the same order.
+        for i in (3, 5, 7):
+            np.testing.assert_array_equal(got[i], want[i])
+
+    def test_duplicated_points_first_winner(self, small_weights):
+        pts = training_batch([256] * 4, seed=3, duplicate=64)  # rows 192-255 repeat rows 0-63
+        fwd = _batch_forward(small_weights, pts)
+        assert_matches_dense(small_weights, fwd, np.ones((4, small_weights.num_classes)))
+        np.testing.assert_array_equal(fwd["winners"], with_a2(small_weights, fwd)["a2"].argmax(axis=1))
+        won = fwd["winners"][fwd["pooled"] > 0]
+        assert np.any(won < 64) and not np.any((won >= 192) & (won < 256))
+
+    def test_channels_no_point_turns_on(self, small_weights):
+        w = ClassifierWeights(*(a.copy() for a in small_weights.arrays()))
+        w.b2[:40] = -1e3
+        fwd = _batch_forward(w, training_batch([256] * 5, seed=4))
+        got, _ = assert_matches_dense(w, fwd, np.ones((5, w.num_classes)))
+        assert np.all(fwd["pooled"][:, :40] == 0.0)
+        assert np.all(got[2][:, :40] == 0.0) and np.all(got[3][:40] == 0.0)
+
+    def test_mixed_size_batches_in_train(self, monkeypatch):
+        data = tiny_dataset()
+        for i in (0, 5, 6):
+            data.clouds[i] = np.vstack([data.clouds[i], data.clouds[i][:3]])
+        shapes = []
+
+        def checked(w, fwd, g_logits):
+            shapes.append(fwd["pts"].shape[:2])
+            return assert_matches_dense(w, fwd, g_logits)[0]
+
+        monkeypatch.setattr("pcbdet.classifier._batch_backward", checked)
+        train(data, TrainConfig(epochs=2, batch_size=4, learning_rate=0.02, seed=5))
+        assert {n for _, n in shapes} == {34, 37} and min(B for B, _ in shapes) < 4
+
+    def test_matches_finite_differences(self):
+        w = init_weights(num_classes=4, seed=3)
+        pts = training_batch([40] * 3, seed=9)
+        labels = np.array([0, 2, 3])
+
+        def loss(w):
+            logits = _batch_forward(w, pts)["logits"]
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            return float(np.mean(np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(3), labels]))
+
+        fwd = _batch_forward(w, pts)
+        grads = _batch_backward(w, fwd, train_cotangent(fwd["logits"], labels))
+        rng = np.random.default_rng(0)
+        h = 1e-6
+        for arr, g in zip(w.arrays(), grads):
+            # the entries with the largest gradient, plus random ones
+            picks = [np.unravel_index(np.argmax(np.abs(g)), g.shape)]
+            picks += [tuple(int(rng.integers(0, d)) for d in g.shape) for _ in range(3)]
+            for idx in picks:
+                keep = arr[idx]
+                arr[idx] = keep + h
+                up = loss(w)
+                arr[idx] = keep - h
+                down = loss(w)
+                arr[idx] = keep
+                fd = (up - down) / (2 * h)
+                assert abs(fd - g[idx]) <= 1e-6 * max(1.0, abs(g[idx])), (idx, fd, g[idx])
 
 
 class TestWeightsIO:

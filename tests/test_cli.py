@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -255,6 +258,13 @@ class TestReportArtifacts:
         row0 = read_statistics_csv(path)[0]
         assert row0["inv_rs"] == row0["rt_over_rs"] == row0["w_over_rs"] == row0["r"] == 0.0
 
+    def test_negative_cosine_read(self, tmp_path):
+        # z is a cosine, the one statistic that may be negative.
+        path = tmp_path / "stats.csv"
+        write_statistics_csv(fake_report([0.0, 0.5, 1.2, 0.3, 0.1, 0.2, 0.4, 0.15]), path)
+        path.write_text(re.sub(r"^(2,(?:[^,]*,){3})[^,]*", r"\1-0.75", path.read_text(), flags=re.M))
+        assert read_statistics_csv(path)[2]["z"] == -0.75
+
     def test_report_json_fields(self, tmp_path):
         report = fake_report([0.0, 0.5, 1.2, 0.3, 0.1, 0.2, 0.4, 0.15])
         path = tmp_path / "report.json"
@@ -447,9 +457,13 @@ class TestCliPipeline:
              "line 2: bad r value 'nan'"),
             ("json", lambda t: re.sub(r'"gamma_scale": [^,\n]*', '"gamma_scale": NaN', t),
              "gamma_scale = nan is not finite"),
+            ("csv", lambda t: re.sub(r"^(0,(?:[^,]*,){5})[^,]*", r"\1-0.5", t, flags=re.M),
+             "line 2: r = -0.5 is negative"),
+            ("csv", lambda t: re.sub(r"^(1,(?:[^,]*,){8})[^,]*", r"\1-1e-300", t, flags=re.M),
+             "line 3: w_over_rs = -1e-300 is negative"),
         ],
         ids=["csv-empty-field", "csv-missing-field", "csv-header", "csv-short-row", "json-missing-key",
-             "json-string", "json-truncated", "csv-nan", "json-nan"],
+             "json-string", "json-truncated", "csv-nan", "json-nan", "csv-negative-r", "csv-negative-ratio"],
     )
     def test_report_input_fails_at_the_boundary(self, detected, tmp_path, capsys, which, edit, message):
         paths = {"csv": tmp_path / "s.csv", "json": tmp_path / "r.json"}
@@ -490,3 +504,38 @@ class TestCliPipeline:
         assert cfg.estimation.pi == 0.9
         assert cfg.estimation.tau_max == 3000
         assert cfg.phi == 0.05
+
+
+class TestReproducibility:
+    def test_weights_independent_of_blas_thread_count(self, tmp_path):
+        # Training sums over rows in a fixed order, so its weights do not
+        # depend on how many threads BLAS splits a product over; 3 and 4
+        # threads may oversubscribe the cores, which changes only the speed.
+        cfg = tiny_config(tmp_path / "data")
+        cfg.data.train_per_class = 4
+        cfg.data.test_per_class = 2
+        cfg.data.reserve_per_class = 2
+        cfg.data.points_per_cloud = 256
+        cfg.train.epochs = 1
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        assert main(["gen-data", "--config", str(cfg_path)]) == 0
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        procs = {}
+        for threads in ("1", "2", "3", "4"):
+            out = tmp_path / f"threads-{threads}"
+            shutil.copytree(tmp_path / "data", out)
+            run = ["--config", str(cfg_path), "--out", str(out)]
+            train, attack = ["train", *run], ["attack", *run, "--weights", str(out / "clean.weights")]
+            code = f"import sys; from pcbdet.cli import main; sys.exit(main({train!r}) or main({attack!r}))"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            procs[out] = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                                          stderr=subprocess.STDOUT, text=True)
+        for proc in procs.values():
+            output, _ = proc.communicate(timeout=300)
+            assert proc.returncode == 0, output
+        one, *others = procs
+        for other in others:
+            for name in ("clean.weights", "poisoned.weights"):
+                assert (one / name).read_bytes() == (other / name).read_bytes(), (other.name, name)

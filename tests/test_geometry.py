@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from pcbdet.geometry import (
     point_to_cloud_distance,
     save_dataset,
 )
-from tests.oracles import distance_to_cloud, full_scan_distances, point_to_cloud
+from tests.oracles import distance_to_cloud, full_scan_distances, line_by_line_load_dataset, point_to_cloud
 
 finite_coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -328,7 +329,74 @@ class TestGenerateShape:
             generate_shape(0, 8, seed=0)
 
 
+# Point-line tokens: numbers in the forms float() reads, and near misses that
+# it rejects; a line holds at most one near miss.
+number_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-2, max_value=2).map(lambda v: f"{v:.9g}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:+.17e}"),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400", "-1e-400", "1_0", ".5", "5.", "+.5e-3"]),
+)
+near_misses = st.sampled_from(["0x1", "1d0", "1,5", "#1", "x", "--1", "1e", "1__0", "\x00"])
+separators = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"])
+
+
+@st.composite
+def dataset_texts(draw):
+    """Dataset files whose records mostly parse. A header may give a label
+    outside [0, 3) or another point count than follows; a record's lines
+    mostly hold one number of tokens, 3 or else 2 or 4, but some hold 0, 2,
+    3 or 4. Some files end early, after any line, a header too."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 5))
+        label = draw(st.sampled_from([0, 1, 2] * 3 + [-1, 3]))
+        out.append(f"{label} {draw(st.sampled_from([n] * 6 + [n - 1, n + 1]))}")
+        width = draw(st.sampled_from([3, 3, 3, 2, 4]))
+        for _ in range(n):
+            count = draw(st.sampled_from([width] * 6 + [0, 2, 3, 4]))
+            tokens = [draw(number_tokens) for _ in range(count)]
+            if count and draw(st.integers(0, 9)) == 0:
+                tokens[draw(st.integers(0, count - 1))] = draw(near_misses)
+            line = "".join(t + draw(separators) for t in tokens)
+            out.append(draw(st.sampled_from(["", " ", "\t"])) + line)
+    if draw(st.integers(0, 3)) == 0:
+        out = out[: draw(st.integers(1, len(out)))]
+    return "\n".join(out) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def load_outcome(load, path):
+    try:
+        ds = load(path, 3)
+    except ValueError as exc:
+        return str(exc)
+    return list(ds.labels), [X.tobytes() for X in ds.clouds], [X.shape for X in ds.clouds]
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("datasets")
+
+
 class TestDatasetIO:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(text=dataset_texts())
+    def test_same_as_line_by_line_parse(self, text_dir, text):
+        # The same arrays bit for bit, or the same error naming the same line.
+        path = text_dir / "split.txt"
+        path.write_text(text, encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor a warning on the way
+            assert load_outcome(load_dataset, path) == load_outcome(line_by_line_load_dataset, path)
+
+    def test_generated_split_same_as_line_by_line_parse(self, tmp_path):
+        ds = Dataset(clouds=[generate_shape(k % 8, 256, k) for k in range(16)], labels=np.arange(16) % 8,
+                     num_classes=8)
+        path = tmp_path / "split.txt"
+        save_dataset(ds, path)
+        got, want = load_dataset(path, 8), line_by_line_load_dataset(path, 8)
+        assert [X.tobytes() for X in got.clouds] == [X.tobytes() for X in want.clouds]
+
     def test_round_trip(self, tmp_path):
         ds = Dataset(
             clouds=[generate_shape(0, 32, 1), generate_shape(1, 48, 2)],
@@ -359,10 +427,14 @@ class TestDatasetIO:
         [
             ("0 3\n0 0 0\n1 1 1\n", 4),  # truncated record: the file ends early
             ("0 3\n0 0 0\n1 1 1", 4),  # same, without a final newline
+            ("0 1\n0 0 0\n0 2", 4),  # a header on the last line, no final newline
+            ("0 2\n", 2),  # a header and no point line at all
             ("0 2\n0 0 0\n1 2\n", 3),  # a 2-coordinate row
             ("0 2\n0 0 0\n1 2 x\n", 3),  # not a number
             ("0 2\n0 0 0\n1 nan 1\n", 3),
             ("0 1\n0 0 0\n1 1\n-inf 0 0\n", 4),
+            ("0 2\n0 0 0\n1 2 3 4\n", 3),  # a 4-coordinate row
+            ("0 2\n0 0 0 #\n1 2 3 #c\n", 2),  # no comments
             ("0 2 7\n0 0 0\n0 0 0\n", 1),  # bad record header
             ("0 0\n", 1),  # empty record
         ],
