@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pcbdet.classifier import ClassifierWeights, insertion_logits, pool_vector, predict
-from pcbdet.geometry import Dataset, as_cloud, as_point, cloud_distances
+from pcbdet.geometry import Dataset, as_cloud, as_point, ball_points, cloud_distances
 
 __all__ = [
     "BackdoorPattern",
@@ -28,8 +28,8 @@ __all__ = [
 # Radius of the ball the local offsets are drawn from, in unit-ball scale.
 GEOMETRY_RADIUS = 0.05
 
-# Share of the center candidates, nearest to the source clouds first, that a
-# model-guided choose_center picks from.
+# Share of the center candidates, nearest to the source clouds first, that
+# choose_center picks from.
 NEAR_FRACTION = 0.25
 
 
@@ -88,11 +88,8 @@ class AttackConfig:
 
 def make_pattern(center, n_points: int, seed: int, radius: float = GEOMETRY_RADIUS) -> BackdoorPattern:
     """Random local geometry: n_points offsets drawn uniformly in a ball."""
-    rng = np.random.default_rng([int(seed), 0x0FF5E7])
-    dirs = rng.normal(size=(n_points, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = radius * rng.uniform(size=(n_points, 1)) ** (1.0 / 3.0)
-    return BackdoorPattern(center=as_point(center), offsets=dirs * radii, radius=radius)
+    offsets = radius * ball_points(np.random.default_rng([int(seed), 0x0FF5E7]), n_points)
+    return BackdoorPattern(center=as_point(center), offsets=offsets, radius=radius)
 
 
 def embed_pattern(X, pattern: BackdoorPattern) -> np.ndarray:
@@ -101,22 +98,23 @@ def embed_pattern(X, pattern: BackdoorPattern) -> np.ndarray:
     return np.vstack([X, pattern.points])
 
 
-def choose_center(source_clouds, standoff: float, candidates: int, seed: int, weights=None) -> np.ndarray:
-    """Pick an insertion center close to the source clouds.
+def choose_center(source_clouds, standoff: float, candidates: int, seed: int, weights: ClassifierWeights) -> np.ndarray:
+    """Pick an insertion center close to the source clouds, guided by a
+    reference classifier (the attacker's clean model).
 
     Samples `candidates` random unit directions and places each candidate at
     (1 + standoff) * direction, just outside the unit ball the normalized
-    clouds live in. Without `weights`, returns the candidate with the
-    smallest average distance to the source clouds. With a reference
-    classifier (the attacker's clean model), it returns, among the nearest
-    NEAR_FRACTION of the candidates (at least one), the one whose features
-    win the most max-pool channels, averaged over the source clouds; ties go
-    to the nearer candidate. A point that wins no channel leaves the logits
-    unchanged, and the nearest candidate can sit where the clouds' own
-    points already dominate its channels (past the end of a rod, along its
-    axis), so a trigger there may never be learned. Stands in for the
-    attacker-side location optimization, preserving the property the
-    detector relies on: a common location close to source-class clouds.
+    clouds live in. Among the nearest NEAR_FRACTION of the candidates (at
+    least one), ranked by average distance to the source clouds, it returns
+    the one whose features win the most max-pool channels, averaged over the
+    source clouds; ties go to the nearer candidate, so a network that wins
+    no channel (all-zero weights) gets the nearest candidate. A point that
+    wins no channel leaves the logits unchanged, and the nearest candidate
+    can sit where the clouds' own points already dominate its channels (past
+    the end of a rod, along its axis), so a trigger there may never be
+    learned. Stands in for the attacker-side location optimization,
+    preserving the property the detector relies on: a common location close
+    to source-class clouds.
     """
     if len(source_clouds) < 1:
         raise ValueError("need at least one source cloud")
@@ -128,8 +126,6 @@ def choose_center(source_clouds, standoff: float, candidates: int, seed: int, we
     points = (1.0 + standoff) * dirs
     dists, _ = cloud_distances(points, [as_cloud(X) for X in source_clouds])
     order = np.argsort(dists.mean(axis=1), kind="stable")
-    if weights is None:
-        return points[order[0]]
     near = order[: max(1, int(len(order) * NEAR_FRACTION))]
     pooled = np.stack([pool_vector(weights, X) for X in source_clouds])
     _, cache = insertion_logits(weights, pooled, points[near])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pcbdet.geometry import Dataset, as_cloud
+from pcbdet.geometry import Dataset, as_cloud, ball_points
 
 __all__ = [
     "ClassifierWeights",
@@ -378,29 +378,25 @@ def train(data: Dataset, cfg: TrainConfig) -> ClassifierWeights:
     for epoch in range(cfg.epochs):
         epoch_rng = np.random.default_rng([int(cfg.seed), 0x5417, epoch])
         order = epoch_rng.permutation(n_samples)
-        noise = cfg.outlier_radius * _ball_points(epoch_rng, n_samples * cfg.outlier_points)
+        noise = cfg.outlier_radius * ball_points(epoch_rng, n_samples * cfg.outlier_points)
         noise = noise.reshape(n_samples, cfg.outlier_points, 3)
         for start in range(0, n_samples, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            grads = [np.zeros_like(a) for a in w.arrays()]
-            # Clouds of different cardinalities forward separately; gradients
-            # accumulate so the update equals one whole-batch step.
-            by_size: dict[int, list[int]] = {}
-            for i in batch:
-                by_size.setdefault(len(data.clouds[i]), []).append(int(i))
-            for size in sorted(by_size):
-                idx = by_size[size]
-                pts = np.stack([np.vstack([data.clouds[i], noise[i]]) for i in idx])
-                labs = data.labels[idx]
-                fwd = _batch_forward(w, pts)
-                probs = _softmax(fwd["logits"])
-                g_logits = probs
-                g_logits[np.arange(len(idx)), labs] -= 1.0
-                g_logits /= len(batch)
-                for acc, g in zip(grads, _batch_backward(w, fwd, g_logits)):
-                    acc += g
-            arrays = w.arrays()
-            for v, a, g in zip(velocity, arrays, grads):
+            # Clouds shorter than the batch's longest are padded with copies
+            # of their own first point. A copy never wins a channel (the
+            # winner is the first point reaching the max), so each cloud's
+            # pooled features and winners are its own and padding gets no
+            # gradient.
+            clouds = [data.clouds[i] for i in batch]
+            longest = max(len(X) for X in clouds)
+            pts = np.stack(
+                [np.vstack([X, noise[i], np.repeat(X[:1], longest - len(X), axis=0)]) for i, X in zip(batch, clouds)]
+            )
+            fwd = _batch_forward(w, pts)
+            g_logits = _softmax(fwd["logits"])
+            g_logits[np.arange(len(batch)), data.labels[batch]] -= 1.0
+            g_logits /= len(batch)
+            for v, a, g in zip(velocity, w.arrays(), _batch_backward(w, fwd, g_logits)):
                 v *= MOMENTUM
                 v -= cfg.learning_rate * g
                 a += v
@@ -408,12 +404,6 @@ def train(data: Dataset, cfg: TrainConfig) -> ClassifierWeights:
     w.b4 *= cfg.logit_scale
     w.validate()
     return w
-
-
-def _ball_points(rng, count: int) -> np.ndarray:
-    dirs = rng.normal(size=(count, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return dirs * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
 
 
 def accuracy(w: ClassifierWeights, data: Dataset) -> float:

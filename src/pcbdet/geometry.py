@@ -20,6 +20,7 @@ __all__ = [
     "cloud_distances",
     "point_to_cloud_distance",
     "normalize_cloud",
+    "ball_points",
     "generate_shape",
     "save_dataset",
     "load_dataset",
@@ -38,17 +39,6 @@ MIN_CLOUD_POINTS = 16
 # Std of the Gaussian surface jitter applied by the synthetic generator,
 # in units of the pre-normalization shape scale.
 SHAPE_JITTER = 0.02
-
-SHAPE_NAMES = (
-    "sphere",
-    "cube",
-    "cylinder",
-    "cone",
-    "torus",
-    "pyramid",
-    "planes",
-    "helix",
-)
 
 
 def as_point(p) -> np.ndarray:
@@ -190,6 +180,11 @@ def _sphere(rng, n):
     return v
 
 
+def ball_points(rng, count: int) -> np.ndarray:
+    """count points drawn uniformly in the unit ball: a direction, then a radius."""
+    return _sphere(rng, count) * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
+
+
 def _cube(rng, n):
     face = rng.integers(0, 6, size=n)
     uv = rng.uniform(-1.0, 1.0, size=(n, 2))
@@ -293,6 +288,7 @@ def _helix(rng, n):
     )
 
 
+# Shape family of each class id, in class order.
 _SHAPE_FUNCS = {
     "sphere": _sphere,
     "cube": _cube,
@@ -303,6 +299,7 @@ _SHAPE_FUNCS = {
     "planes": _planes,
     "helix": _helix,
 }
+SHAPE_NAMES = tuple(_SHAPE_FUNCS)
 
 
 def generate_shape(class_id: int, n: int, seed: int) -> np.ndarray:

@@ -370,19 +370,47 @@ class TestBatchBackward:
         assert np.all(fwd["pooled"][:, :40] == 0.0)
         assert np.all(got[2][:, :40] == 0.0) and np.all(got[3][:40] == 0.0)
 
+    def test_padded_batch_pools_each_cloud_alone(self, small_weights):
+        # Clouds padded with copies of their own first point, as train pads
+        # a batch of mixed sizes; the third cloud repeats its first 20 points.
+        sizes = [32, 256, 288, 35]
+        clouds = [training_batch([size], seed=b, duplicate=20 * (b == 2))[0] for b, size in enumerate(sizes)]
+        longest = max(len(X) for X in clouds)
+        pts = np.stack([np.vstack([X, np.repeat(X[:1], longest - len(X), axis=0)]) for X in clouds])
+        fwd = _batch_forward(small_weights, pts)
+        for b, X in enumerate(clouds):
+            a2 = _point_features(small_weights, X)[1]
+            np.testing.assert_array_equal(fwd["pooled"][b], a2.max(axis=0))
+            np.testing.assert_array_equal(fwd["winners"][b], a2.argmax(axis=0))
+            assert fwd["winners"][b].max() < len(X)
+
     def test_mixed_size_batches_in_train(self, monkeypatch):
         data = tiny_dataset()
         for i in (0, 5, 6):
             data.clouds[i] = np.vstack([data.clouds[i], data.clouds[i][:3]])
-        shapes = []
+        cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.02, seed=5)
+        # The batches of train: each epoch's shuffle from its seed stream.
+        orders = [np.random.default_rng([cfg.seed, 0x5417, e]).permutation(len(data)) for e in range(cfg.epochs)]
+        batches = [order[s : s + cfg.batch_size] for order in orders for s in range(0, len(data), cfg.batch_size)]
+        sizes = []
 
         def checked(w, fwd, g_logits):
-            shapes.append(fwd["pts"].shape[:2])
+            # One backward call per step, on the whole batch padded to its
+            # longest cloud (outlier points included); each cloud pools as
+            # it would alone.
+            own = [len(data.clouds[i]) + cfg.outlier_points for i in batches[len(sizes)]]
+            sizes.append(own)
+            assert fwd["pts"].shape[:2] == (len(own), max(own))
+            for b, n in enumerate(own):
+                a2 = _point_features(w, fwd["pts"][b, :n])[1]
+                np.testing.assert_array_equal(fwd["pooled"][b], a2.max(axis=0))
+                np.testing.assert_array_equal(fwd["winners"][b], a2.argmax(axis=0))
             return assert_matches_dense(w, fwd, g_logits)[0]
 
         monkeypatch.setattr("pcbdet.classifier._batch_backward", checked)
-        train(data, TrainConfig(epochs=2, batch_size=4, learning_rate=0.02, seed=5))
-        assert {n for _, n in shapes} == {34, 37} and min(B for B, _ in shapes) < 4
+        train(data, cfg)
+        assert len(sizes) == len(batches)
+        assert any(min(own) == 34 and max(own) == 37 for own in sizes)
 
     def test_matches_finite_differences(self):
         w = init_weights(num_classes=4, seed=3)

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from pcbdet.geometry import (
     Dataset,
     SHAPE_NAMES,
+    ball_points,
     cloud_distances,
     generate_shape,
     load_dataset,
@@ -327,6 +328,25 @@ class TestGenerateShape:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             generate_shape(0, 8, seed=0)
+
+    def test_families_in_class_order(self):
+        assert SHAPE_NAMES == ("sphere", "cube", "cylinder", "cone", "torus", "pyramid", "planes", "helix")
+
+
+class TestBallPoints:
+    def test_uniform_in_unit_ball(self):
+        r = np.linalg.norm(ball_points(np.random.default_rng(0), 20000), axis=1)
+        assert r.max() <= 1.0
+        # Uniform in volume: an eighth of the points lie within radius 1/2.
+        assert np.mean(r <= 0.5) == pytest.approx(0.125, abs=0.01)
+
+    def test_draw_order(self):
+        # All directions (normal draws, normalized) first, then all radii.
+        rng = np.random.default_rng(7)
+        dirs = rng.normal(size=(5, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        want = dirs * rng.uniform(size=(5, 1)) ** (1.0 / 3.0)
+        np.testing.assert_array_equal(ball_points(np.random.default_rng(7), 5), want)
 
 
 # Point-line tokens: numbers in the forms float() reads, and near misses that
