@@ -161,25 +161,24 @@ def init_weights(num_classes: int, seed: int) -> ClassifierWeights:
 # result is bit-identical no matter how many other rows the input holds or
 # where it sits. (BLAS picks kernels by matrix shape; without blocking,
 # appending a point can perturb every feature by an ulp and break the exact
-# permutation/duplicate invariance of the logits, and a cloud's logits in a
-# stack could differ from its logits alone.)
+# permutation/duplicate invariance of the logits, and a cloud's logits or a
+# problem's search gradient in a stack could differ from its own alone.)
 _ROW_BLOCK = 256
 
 
-def _affine_rows(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    out = np.empty((n, W.shape[1]))
-    for s in range(0, n, _ROW_BLOCK):
-        chunk = x[s : s + _ROW_BLOCK]
-        m = len(chunk)
-        if m < _ROW_BLOCK:
-            padded = np.zeros((_ROW_BLOCK, x.shape[1]))
-            padded[:m] = chunk
-            out[s : s + m] = (padded @ W)[:m]
-        else:
-            out[s : s + m] = chunk @ W
-    out += b
-    return out
+def _block_product(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """x @ W over the last axis of x, in _ROW_BLOCK-row blocks: the full
+    blocks as one stacked matmul (one product per block) written into the
+    result, the tail block zero-padded."""
+    rows = x.reshape(-1, x.shape[-1])
+    full = len(rows) - len(rows) % _ROW_BLOCK
+    out = np.empty((len(rows), W.shape[1]))
+    np.matmul(rows[:full].reshape(-1, _ROW_BLOCK, x.shape[-1]), W, out=out[:full].reshape(-1, _ROW_BLOCK, W.shape[1]))
+    if full < len(rows):
+        padded = np.zeros((_ROW_BLOCK, x.shape[-1]))
+        padded[: len(rows) - full] = rows[full:]
+        out[full:] = (padded @ W)[: len(rows) - full]
+    return out.reshape(*x.shape[:-1], W.shape[1])
 
 
 def _point_features(w: ClassifierWeights, pts: np.ndarray):
@@ -188,22 +187,24 @@ def _point_features(w: ClassifierWeights, pts: np.ndarray):
     The ReLUs run in place, so no pre-activation is kept: a > 0 exactly where
     z > 0, which is all the backward pass needs.
     """
-    lead = pts.shape[:-1]
-    a1 = _affine_rows(pts.reshape(-1, 3), w.w1, w.b1)
+    a1 = _block_product(pts, w.w1)
+    a1 += w.b1
     np.maximum(a1, 0.0, out=a1)
-    a2 = _affine_rows(a1, w.w2, w.b2)
+    a2 = _block_product(a1, w.w2)
+    a2 += w.b2
     np.maximum(a2, 0.0, out=a2)
-    return a1.reshape(*lead, POINT_DIMS[1]), a2.reshape(*lead, POINT_DIMS[2])
+    return a1, a2
 
 
 def _head(w: ClassifierWeights, pooled: np.ndarray):
     """Hidden activation a3 and logits of the head, with row-stable
     arithmetic; pooled is (..., 128)."""
-    lead = pooled.shape[:-1]
-    a3 = _affine_rows(pooled.reshape(-1, POINT_DIMS[2]), w.w3, w.b3)
+    a3 = _block_product(pooled, w.w3)
+    a3 += w.b3
     np.maximum(a3, 0.0, out=a3)
-    logits = _affine_rows(a3, w.w4, w.b4)
-    return a3.reshape(*lead, HEAD_HIDDEN), logits.reshape(*lead, w.num_classes)
+    logits = _block_product(a3, w.w4)
+    logits += w.b4
+    return a3, logits
 
 
 def forward_logits(w: ClassifierWeights, X) -> np.ndarray:
@@ -260,14 +261,14 @@ def insertion_gradient(w: ClassifierWeights, cache, g_logits: np.ndarray) -> np.
     are summed over the M clouds. Each ReLU gates on a > 0, which holds
     exactly where z > 0.
     """
-    g_a3 = g_logits @ w.w4.T
+    g_a3 = _block_product(g_logits, w.w4.T)
     g_z3 = g_a3 * (cache["a3"] > 0.0)
-    g_pooled = g_z3 @ w.w3.T  # (..., M, 128)
+    g_pooled = _block_product(g_z3, w.w3.T)  # (..., M, 128)
     g_a2 = (g_pooled * cache["win"]).sum(axis=-2)  # (..., 128)
     g_z2 = g_a2 * (cache["a2"] > 0.0)
-    g_a1 = g_z2 @ w.w2.T
+    g_a1 = _block_product(g_z2, w.w2.T)
     g_z1 = g_a1 * (cache["a1"] > 0.0)
-    return g_z1 @ w.w1.T
+    return _block_product(g_z1, w.w1.T)
 
 
 def margin_cotangent(logits: np.ndarray, source, target) -> np.ndarray:

@@ -110,9 +110,8 @@ def main(argv=None) -> int:
             report = read_report(args.stats, args.report)
             pv = None if report.pvalue is None else report.pvalue.display()
             print(f"verdict {report.verdict}  pv {pv}  K {report.num_classes}  J {report.num_excluded}")
-            excluded = report.fit.excluded if report.fit else ()
             for st in report.stats:
-                mark = " *" if st.source in excluded else ""
+                mark = " *" if st.source in report.excluded else ""
                 print(
                     f"  class {st.source}: t_hat {-1 if st.failed else st.t_hat} r_s {st.r_s:.4f} "
                     f"r_t {st.r_t:.4f} z {st.z:.3f} w {st.w:.3f} r {st.r:.4f}{mark}"

@@ -108,9 +108,9 @@ def _descent(w, problems, params):
     targeted); each keeps its own source, target, seed and trace, and its
     n_restarts seeded inits. The state carries a leading problem axis:
     problems x restarts x clouds. Every per-problem value is the one a stack
-    of one computes, bit for bit: the network runs on row-stable blocks, the
-    other batched matmuls run the same per-slice products and every
-    reduction runs along the same axis as alone.
+    of one computes, bit for bit: every product of the network and its
+    gradient runs on row-stable blocks and every reduction runs along the
+    same axis as alone.
 
     target None selects the group (untargeted) variant: feasibility means at
     least a pi fraction of clouds misclassified away from source. With a
@@ -161,7 +161,7 @@ def _descent(w, problems, params):
             feasible = rho >= params.pi
             lam = np.where(feasible, np.minimum(lam * params.alpha, LAMBDA_CAP), lam / params.alpha)
             total = dists.sum(axis=-1)
-            improved = feasible & (total < best_sum) & np.all(np.isfinite(c), axis=-1)
+            improved = feasible & (total < best_sum)
             best_sum = np.where(improved, total, best_sum)
             best_c[improved] = c[improved]
             best_preds[improved] = preds[improved]

@@ -107,7 +107,11 @@ class NullFit:
 class PValue:
     pv: float
     log_pv: float
-    underflow: bool
+
+    @property
+    def underflow(self) -> bool:
+        """pv is below UNDERFLOW_LIMIT; log_pv then carries the value."""
+        return self.pv < UNDERFLOW_LIMIT
 
     def display(self) -> str:
         return "u.f." if self.underflow else f"{self.pv:.3g}"
@@ -128,6 +132,11 @@ class DetectionReport:
     @property
     def num_classes(self) -> int:
         return len(self.stats)
+
+    @property
+    def excluded(self) -> tuple:
+        """Classes the null fit left out; empty without a fit."""
+        return self.fit.excluded if self.fit else ()
 
     @property
     def s_max(self) -> int:
@@ -288,18 +297,18 @@ def order_statistic_pvalue(fit: NullFit, r_max: float, num_classes: int, num_exc
     if m < 1:
         raise ValueError("need at least one retained statistic")
     if r_max <= 0:
-        return PValue(pv=1.0, log_pv=0.0, underflow=False)
+        return PValue(pv=1.0, log_pv=0.0)
     y = r_max / fit.scale
     sf = float(special.gammaincc(fit.shape, y))
     if sf >= 1.0:
-        return PValue(pv=1.0, log_pv=0.0, underflow=False)
+        return PValue(pv=1.0, log_pv=0.0)
     log_g = math.log1p(-sf)  # log G(r_max), accurate when G is near 1
     pv = -math.expm1(m * log_g)
     if pv >= UNDERFLOW_LIMIT:
-        return PValue(pv=pv, log_pv=math.log(pv), underflow=False)
+        return PValue(pv=pv, log_pv=math.log(pv))
     # 1 - G^m ~ m * sf for tiny sf; use the tail log for the displayable value.
     log_pv = math.log(m) + _gamma_log_sf(fit, r_max)
-    return PValue(pv=pv, log_pv=log_pv, underflow=True)
+    return PValue(pv=pv, log_pv=log_pv)
 
 
 def calibrated_pvalue(fit: NullFit, r_max: float, num_null: int, num_top: int) -> float:
@@ -335,7 +344,7 @@ def calibrated_pvalue(fit: NullFit, r_max: float, num_null: int, num_top: int) -
     return float((1 + np.count_nonzero(sim_tail <= obs_tail)) / (draws + 1))
 
 
-def detect(stats, phi: float = 0.05) -> DetectionReport:
+def detect(stats, phi: float) -> DetectionReport:
     """Fit the null with collateral-damage exclusion and produce the verdict.
 
     The null is the positive statistics outside the exclusion set; zero
@@ -371,7 +380,7 @@ def detect(stats, phi: float = 0.05) -> DetectionReport:
     num_top = sum(1 for s in excluded if r[s] > 0.0)
     order_pv = order_statistic_pvalue(fit, r_max, len(null) + num_top, num_top)
     pv = calibrated_pvalue(fit, r_max, len(null), num_top)
-    pvalue = PValue(pv=pv, log_pv=math.log(pv), underflow=False)
+    pvalue = PValue(pv=pv, log_pv=math.log(pv))
     return DetectionReport(
         stats=list(stats), fit=fit, pvalue=pvalue, phi=phi, num_excluded=len(excluded), order_pvalue=order_pv
     )

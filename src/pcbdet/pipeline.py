@@ -10,6 +10,7 @@ split.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -186,21 +187,15 @@ def attack_stage(cfg: RunConfig, out_dir, clean_weights) -> dict:
 def build_detection_sets(w: ClassifierWeights, clean: Dataset, reserve: Dataset, target_size: int):
     """Per-class clean clouds the classifier gets right.
 
-    Misclassified clouds are replaced from the reserve pool (also filtered to
-    correctly classified ones); a class may proceed with fewer than
+    Each class takes the first target_size correctly classified clouds of
+    its clean clouds followed by its reserve clouds, in split order; no cloud
+    past the fill is classified. A class may proceed with fewer than
     target_size but at least MIN_DETECTION_CLOUDS, else detection aborts.
     """
     sets = {}
     for k in range(clean.num_classes):
-        picked = [X for X in clean.clouds_of_class(k) if predict(w, X) == k]
-        if len(picked) < target_size:
-            for X in reserve.clouds_of_class(k):
-                if len(picked) >= target_size:
-                    break
-                if predict(w, X) == k:
-                    picked.append(X)
-        if len(picked) > target_size:
-            picked = picked[:target_size]
+        candidates = chain(clean.clouds_of_class(k), reserve.clouds_of_class(k))
+        picked = list(islice((X for X in candidates if predict(w, X) == k), target_size))
         if len(picked) < MIN_DETECTION_CLOUDS:
             raise DetectionInputError(
                 f"class {k}: only {len(picked)} correctly classified clean clouds "
@@ -270,7 +265,7 @@ def assemble_statistics(w, detection_sets, params: EstimationParams, seed: int, 
     return stats
 
 
-def detect_stage(cfg: RunConfig, weights_path, out_dir, prefix: str = "detect") -> DetectionReport:
+def detect_stage(cfg: RunConfig, weights_path, out_dir, prefix: str) -> DetectionReport:
     out = Path(out_dir)
     w = load_weights(weights_path)
     clean = _load_split(out, "clean", cfg.data.classes)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from pcbdet.geometry import read_text
-from pcbdet.inference import UNDERFLOW_LIMIT, ClassStatistics, DetectionReport, NullFit, PValue
+from pcbdet.inference import ClassStatistics, DetectionReport, NullFit, PValue
 
 __all__ = [
     "STATS_VALUES",
@@ -41,12 +41,11 @@ def write_json(payload: dict, path) -> None:
 
 
 def write_statistics_csv(report: DetectionReport, path) -> None:
-    excluded = set(report.fit.excluded) if report.fit else set()
     lines = [STATS_HEADER]
     for st in report.stats:
         values = [repr(float(getattr(st, name))) for name in STATS_VALUES]
         t_hat = -1 if st.failed else st.t_hat
-        lines.append(",".join([str(st.source), str(t_hat), *values, "1" if st.source in excluded else "0"]))
+        lines.append(",".join([str(st.source), str(t_hat), *values, "1" if st.source in report.excluded else "0"]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -140,8 +139,7 @@ def read_report(stats_path, report_path) -> DetectionReport:
         fit = NullFit(shape=rep["gamma_shape"], scale=rep["gamma_scale"], excluded=excluded, values=np.empty(0))
 
     def pvalue(pv, log_pv):
-        # detect flags underflow exactly for the values below UNDERFLOW_LIMIT.
-        return None if pv is None else PValue(pv=pv, log_pv=log_pv, underflow=pv < UNDERFLOW_LIMIT)
+        return None if pv is None else PValue(pv=pv, log_pv=log_pv)
 
     return DetectionReport(
         stats=stats,
@@ -156,7 +154,6 @@ def read_report(stats_path, report_path) -> DetectionReport:
 def write_histogram_svg(report: DetectionReport, path) -> None:
     """Histogram of the per-class r statistics, excluded classes highlighted."""
     values = [st.r for st in report.stats]
-    excluded = set(report.fit.excluded) if report.fit else set()
     hi = max(max(values), 1e-9)
     width, height, margin = 480, 280, 40
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
@@ -166,7 +163,7 @@ def write_histogram_svg(report: DetectionReport, path) -> None:
     for st in report.stats:
         b = min(int(st.r / hi * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)
         counts[b] += 1
-        if st.source in excluded:
+        if st.source in report.excluded:
             counts_ex[b] += 1
     peak = max(max(counts), 1)
     parts = [

@@ -258,6 +258,36 @@ class TestPointGradient:
         np.testing.assert_allclose(g, fd, rtol=1e-3, atol=1e-6)
 
 
+class TestGradientStacking:
+    """insertion_gradient on a stack of problems is each problem's gradient
+    alone, bit for bit: all four of its products run on row blocks."""
+
+    # Head rows -> (P, R, M): problems x restarts x clouds, P * R * M rows.
+    SHAPES = {255: (5, 3, 17), 256: (4, 4, 16), 257: (257, 1, 1), 1024: (16, 8, 8)}
+
+    @pytest.mark.parametrize("targeted", [False, True])
+    @pytest.mark.parametrize("rows", sorted(SHAPES))
+    def test_stack_equals_each_problem_alone(self, small_weights, rows, targeted):
+        P, R, M = self.SHAPES[rows]
+        K = small_weights.num_classes
+        rng = np.random.default_rng(rows)
+        pooled = np.stack([[pool_vector(small_weights, rng.normal(size=(8, 3))) for _ in range(M)] for _ in range(P)])
+        pooled = pooled[:, None]  # (P, 1, M, 128)
+        c = 2.0 * rng.normal(size=(P, R, 3))
+        sources = rng.integers(0, K, size=P)[:, None, None]
+        targets = (sources + 1) % K if targeted else None
+
+        def gradient(p):
+            logits, cache = insertion_logits(small_weights, pooled[p], c[p])
+            cotangent = margin_cotangent(logits, sources[p], None if targets is None else targets[p])
+            return insertion_gradient(small_weights, cache, cotangent)
+
+        stacked = gradient(slice(None))
+        assert stacked.shape == (P, R, 3) and np.any(stacked != 0.0)
+        for p in range(P):
+            assert gradient(slice(p, p + 1)).tobytes() == stacked[p : p + 1].tobytes()
+
+
 def tiny_dataset(per_class=6, classes=3, n=32, seed=0):
     clouds, labels = [], []
     for k in range(classes):

@@ -232,7 +232,7 @@ def fake_report(r_values, excluded=(1,)):
     return DetectionReport(
         stats=stats,
         fit=fit,
-        pvalue=PValue(pv=0.3, log_pv=np.log(0.3), underflow=False),
+        pvalue=PValue(pv=0.3, log_pv=np.log(0.3)),
         phi=0.05,
         num_excluded=len(excluded),
     )
@@ -286,7 +286,7 @@ class TestReportArtifacts:
     @pytest.mark.parametrize("inconclusive", [False, True])
     def test_read_report_round_trip(self, tmp_path, inconclusive):
         report = fake_report([0.0, 0.5, 1.2, 0.3, 0.1, 0.2, 0.4, 0.15])
-        report.order_pvalue = PValue(pv=1e-5, log_pv=np.log(1e-5), underflow=False)
+        report.order_pvalue = PValue(pv=1e-5, log_pv=np.log(1e-5))
         if inconclusive:
             report.fit = report.pvalue = report.order_pvalue = None
         writers = {"s.csv": write_statistics_csv, "r.json": write_report_json, "h.svg": write_histogram_svg}

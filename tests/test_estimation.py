@@ -144,6 +144,23 @@ class TestAlgorithmMechanics:
                 best = min(best, sum(distance_to_cloud(c, X)[0] for X in clouds))
         assert compute_r_s(est.center, clouds) * len(clouds) == pytest.approx(best, rel=1e-9)
 
+    def test_step_length_capped_at_delta(self, tmp_path):
+        # theta = -1: every cloud is predicted class 1, and a point with
+        # z > 0 wins channel 0, where the margin's slope is 100. Uncapped,
+        # such a step would be 100 * delta long.
+        w = threshold_weights(theta=-1.0)
+        clouds = [cloud_with_max_z(-0.5, seed=i) for i in range(3)]
+        params = EstimationParams(delta=0.05, tau_max=20, n_restarts=6)
+        trace = tmp_path / "trace.csv"
+        one_group(w, clouds, source=0, params=params, seed=2, trace_path=trace)
+        rows = read_trace(trace)
+        steps = []
+        for r in range(params.n_restarts):
+            c = np.array([[float(row[k]) for k in ("cx", "cy", "cz")] for row in rows if int(row["restart"]) == r])
+            steps.extend(np.linalg.norm(np.diff(c, axis=0), axis=1))
+        assert max(steps) <= params.delta * (1 + 1e-12)
+        assert max(steps) >= 0.99 * params.delta  # the cap binds
+
     def test_failed_when_never_feasible(self):
         w = constant_logit_weights([5.0, 0.0, 0.0])  # always predicts source 0
         clouds = [generate_shape(0, 16, seed=i) for i in range(3)]

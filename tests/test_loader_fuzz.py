@@ -48,7 +48,8 @@ REPORT = detect(
         ClassStatistics(source=s, t_hat=None if s % 3 == 0 else (s + 1) % 8, r_s=0.5 + 0.1 * s, r_t=0.7,
                         z=0.1 * s, w=0.05 * s, r=0.0 if s % 3 == 0 else 0.1 * s * s)
         for s in range(8)
-    ]
+    ],
+    phi=0.05,
 )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcbdet import pipeline
 from pcbdet.classifier import init_weights
 from pcbdet.estimation import EstimationParams, SearchProblem, estimate_group_location
 from pcbdet.geometry import Dataset, generate_shape
@@ -50,6 +51,33 @@ class TestDetectionSets:
         w = constant_logit_weights([1.0])
         sets = build_detection_sets(w, both, split_of(0, classes=1), target_size=6)
         assert len(sets[0]) == 6
+
+    def test_clean_then_reserve_in_split_order(self, monkeypatch):
+        # Cloud i of class k is filled with [i, k, 0]; the stub classifier
+        # gets the clouds in `wrong` wrong and records what it classifies.
+        def split(ids_by_class):
+            clouds = [np.tile([float(i), float(k), 0.0], (4, 1)) for k, ids in enumerate(ids_by_class) for i in ids]
+            labels = [k for k, ids in enumerate(ids_by_class) for _ in ids]
+            return Dataset(clouds=clouds, labels=np.array(labels), num_classes=len(ids_by_class))
+
+        wrong = {1, 4, 5, 100, 103, 106}
+        classified = []
+
+        def stub_predict(w, X):
+            i, k = int(X[0, 0]), int(X[0, 1])
+            classified.append(i)
+            return 1 - k if i in wrong else k
+
+        monkeypatch.setattr(pipeline, "predict", stub_predict)
+        clean = split([range(6), range(10, 16)])
+        reserve = split([range(100, 108), range(110, 118)])
+        sets = build_detection_sets(None, clean, reserve, target_size=6)
+        assert {k: [int(X[0, 0]) for X in clouds] for k, clouds in sets.items()} == {
+            0: [0, 2, 3, 101, 102, 104],
+            1: list(range(10, 16)),
+        }
+        # Class 0 stops at reserve cloud 104; class 1 never reaches its reserve.
+        assert classified == [*range(6), *range(100, 105), *range(10, 16)]
 
 
 class TestAssembleStatistics:
