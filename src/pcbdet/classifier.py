@@ -209,11 +209,7 @@ def _head(w: ClassifierWeights, pooled: np.ndarray):
 
 def forward_logits(w: ClassifierWeights, X) -> np.ndarray:
     """Pre-softmax logits h(k|X) for a single cloud."""
-    X = as_cloud(X)
-    w.validate()
-    _, a2 = _point_features(w, X)
-    _, logits = _head(w, a2.max(axis=0))
-    return logits
+    return _head(w, pool_vector(w, X))[1]
 
 
 def predict(w: ClassifierWeights, X) -> int:

@@ -336,16 +336,12 @@ def read_text(path, encoding: str = "ascii") -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
-
-
 def save_dataset(ds: Dataset, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for X, lab in zip(ds.clouds, ds.labels):
             fh.write(f"{int(lab)} {len(X)}\n")
-            for x, y, z in X:
-                fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
+            for x, y, z in X.tolist():
+                fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
 
 
 def _points_at_once(block: list, n: int):

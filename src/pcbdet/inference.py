@@ -99,8 +99,6 @@ class ClassStatistics:
 class NullFit:
     shape: float
     scale: float
-    excluded: tuple  # sorted class indices left out of the fit
-    values: np.ndarray  # the clamped statistics the fit used
 
 
 @dataclass
@@ -119,14 +117,15 @@ class PValue:
 
 @dataclass
 class DetectionReport:
-    """The statistics, the null fit and the p-values; the verdict and the
-    other summaries are derived from them."""
+    """The statistics, the held-out classes, the null fit and the p-values;
+    the verdict and the other summaries are derived from them. The fit's
+    inputs are the positive r of the classes outside excluded."""
 
     stats: list  # ClassStatistics per class
+    excluded: tuple  # sorted classes held out of the null, for every verdict
     fit: NullFit | None  # None when the verdict is inconclusive
     pvalue: PValue | None  # calibrated; the verdict compares it with phi
     phi: float
-    num_excluded: int
     order_pvalue: PValue | None = None  # uncalibrated 1 - G(r_max)^m
 
     @property
@@ -134,9 +133,9 @@ class DetectionReport:
         return len(self.stats)
 
     @property
-    def excluded(self) -> tuple:
-        """Classes the null fit left out; empty without a fit."""
-        return self.fit.excluded if self.fit else ()
+    def num_excluded(self) -> int:
+        """J, the number of held-out classes."""
+        return len(self.excluded)
 
     @property
     def s_max(self) -> int:
@@ -274,7 +273,7 @@ def fit_gamma_null(values) -> NullFit:
     if s <= 0:
         raise DegenerateNullError("non-positive log-moment gap")
     shape, scale = _gamma_shape_mle(np.array([m]), np.array([s]), [m * m / v])
-    return NullFit(shape=float(shape[0]), scale=float(scale[0]), excluded=(), values=vals)
+    return NullFit(shape=float(shape[0]), scale=float(scale[0]))
 
 
 def _gamma_log_sf(fit: NullFit, x: float) -> float:
@@ -367,6 +366,7 @@ def detect(stats, phi: float) -> DetectionReport:
     if len(null_values(excluded)) < MIN_FIT_SIZE:
         excluded = {s_max}
     null = null_values(excluded)
+    excluded = tuple(sorted(excluded))
     fit = None
     if len(null) >= MIN_FIT_SIZE:
         try:
@@ -374,13 +374,10 @@ def detect(stats, phi: float) -> DetectionReport:
         except DegenerateNullError:
             pass
     if fit is None:
-        return DetectionReport(stats=list(stats), fit=None, pvalue=None, phi=phi, num_excluded=len(excluded))
-    fit = NullFit(shape=fit.shape, scale=fit.scale, excluded=tuple(sorted(excluded)), values=fit.values)
+        return DetectionReport(stats=list(stats), excluded=excluded, fit=None, pvalue=None, phi=phi)
     r_max = float(r[s_max])
     num_top = sum(1 for s in excluded if r[s] > 0.0)
     order_pv = order_statistic_pvalue(fit, r_max, len(null) + num_top, num_top)
     pv = calibrated_pvalue(fit, r_max, len(null), num_top)
     pvalue = PValue(pv=pv, log_pv=math.log(pv))
-    return DetectionReport(
-        stats=list(stats), fit=fit, pvalue=pvalue, phi=phi, num_excluded=len(excluded), order_pvalue=order_pv
-    )
+    return DetectionReport(stats=list(stats), excluded=excluded, fit=fit, pvalue=pvalue, phi=phi, order_pvalue=order_pv)

@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from pcbdet.geometry import read_text
 from pcbdet.inference import ClassStatistics, DetectionReport, NullFit, PValue
 
@@ -104,10 +102,11 @@ def write_report_json(report: DetectionReport, path) -> None:
 def read_report(stats_path, report_path) -> DetectionReport:
     """The DetectionReport behind a statistics CSV and its report JSON.
 
-    Writing it back reproduces both files byte for byte; the fit's values
-    are not stored, so fit.values comes back empty. The JSON's verdict,
-    s_max, inferred_target and K are not read: the report derives them from
-    the statistics, pv and phi. A JSON that does not parse, or lacks a key
+    Writing it back reproduces both files byte for byte. The held-out
+    classes come from the CSV's excluded column, the fit from the JSON's
+    gamma fields. The JSON's verdict, s_max, inferred_target, J and K are
+    not read: the report derives them from the statistics, the held-out
+    classes, pv and phi. A JSON that does not parse, or lacks a key
     that is read or holds a non-number or a non-finite number there (null
     stays valid), raises ValueError naming the file and the key.
     """
@@ -118,7 +117,7 @@ def read_report(stats_path, report_path) -> DetectionReport:
         raise ValueError(f"{report_path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(rep, dict):
         raise ValueError(f"{report_path}: not a JSON object")
-    for key in ("pv", "log_pv", "order_pv", "order_log_pv", "phi", "J", "gamma_shape", "gamma_scale"):
+    for key in ("pv", "log_pv", "order_pv", "order_log_pv", "phi", "gamma_shape", "gamma_scale"):
         if key not in rep:
             raise ValueError(f"{report_path}: missing key {key!r}")
         if not isinstance(rep[key], (int, float, type(None))):
@@ -133,20 +132,17 @@ def read_report(stats_path, report_path) -> DetectionReport:
         )
         for row in rows
     ]
-    fit = None
-    if rep["gamma_shape"] is not None:
-        excluded = tuple(row["class"] for row in rows if row["excluded"])
-        fit = NullFit(shape=rep["gamma_shape"], scale=rep["gamma_scale"], excluded=excluded, values=np.empty(0))
+    fit = None if rep["gamma_shape"] is None else NullFit(shape=rep["gamma_shape"], scale=rep["gamma_scale"])
 
     def pvalue(pv, log_pv):
         return None if pv is None else PValue(pv=pv, log_pv=log_pv)
 
     return DetectionReport(
         stats=stats,
+        excluded=tuple(row["class"] for row in rows if row["excluded"]),
         fit=fit,
         pvalue=pvalue(rep["pv"], rep["log_pv"]),
         phi=rep["phi"],
-        num_excluded=rep["J"],
         order_pvalue=pvalue(rep["order_pv"], rep["order_log_pv"]),
     )
 

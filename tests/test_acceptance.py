@@ -203,7 +203,7 @@ class TestCriteria:
         checks.append(abs(combined_statistic(0.5, 0.2, 0.1) - 1.0) < 1e-12)
         checks.append(combined_statistic(0.0, 9.9, 0.1) == 0.0)
         checks.append(abs(combined_statistic(1.0, 0.7, 0.7) - 1.0) < 1e-12)
-        fit = NullFit(shape=1.0, scale=1.0, excluded=(), values=np.array([1.0]))
+        fit = NullFit(shape=1.0, scale=1.0)
         pv38 = order_statistic_pvalue(fit, -math.log(0.01), 39, 1).pv
         checks.append(abs(pv38 - (1 - 0.99**38)) <= 1e-6)
         pv_med = order_statistic_pvalue(fit, math.log(2.0), 2, 1).pv
@@ -219,7 +219,7 @@ class TestCriteria:
         fit = fit_gamma_null(rng.gamma(2.0, 1.0, size=1000))
         shape_ok = 1.8 <= fit.shape <= 2.2
         scale_ok = 0.9 <= fit.scale <= 1.1
-        null = NullFit(shape=2.0, scale=1.3, excluded=(), values=np.array([1.0]))
+        null = NullFit(shape=2.0, scale=1.3)
         rng = np.random.default_rng(77)
         m = 7
         pvs = np.sort([

@@ -17,7 +17,7 @@ from pcbdet.config import SECTIONS, DataConfig, RunConfig, default_config, load_
 from pcbdet.classifier import TrainConfig, load_weights, predict
 from pcbdet.estimation import EstimationParams
 from pcbdet.geometry import load_dataset
-from pcbdet.inference import ClassStatistics, DetectionReport, NullFit, PValue
+from pcbdet.inference import ClassStatistics, DetectionReport, NullFit, PValue, detect
 from pcbdet.report import (
     STATS_HEADER,
     read_report,
@@ -228,13 +228,12 @@ def fake_report(r_values, excluded=(1,)):
         for i, v in enumerate(r_values)
     ]
     stats[0] = ClassStatistics(source=0, t_hat=None, r_s=0.0, r_t=0.0, z=0.0, w=0.0, r=0.0)
-    fit = NullFit(shape=1.2, scale=0.4, excluded=tuple(excluded), values=np.array(r_values))
     return DetectionReport(
         stats=stats,
-        fit=fit,
+        excluded=tuple(excluded),
+        fit=NullFit(shape=1.2, scale=0.4),
         pvalue=PValue(pv=0.3, log_pv=np.log(0.3)),
         phi=0.05,
-        num_excluded=len(excluded),
     )
 
 
@@ -296,6 +295,27 @@ class TestReportArtifacts:
         for name, write in writers.items():
             write(back, tmp_path / f"back-{name}")
             assert (tmp_path / f"back-{name}").read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_inconclusive_report_marks_its_held_out_class(self, tmp_path, capsys):
+        # Too few classes for a null: inconclusive, with class 2 (the top
+        # statistic) held out all the same.
+        stats = [
+            ClassStatistics(source=s, t_hat=t, r_s=1.0, r_t=1.0, z=0.5, w=0.5, r=r)
+            for s, (t, r) in enumerate(zip((1, 2, 0), (1.0, 2.0, 3.0)))
+        ]
+        report = detect(stats, phi=0.05)
+        assert report.verdict == "inconclusive" and report.excluded == (2,)
+        csv, js, svg = tmp_path / "s.csv", tmp_path / "r.json", tmp_path / "h.svg"
+        write_statistics_csv(report, csv)
+        write_report_json(report, js)
+        assert [row["excluded"] for row in read_statistics_csv(csv)] == [0, 0, 1]
+        assert json.loads(js.read_text())["J"] == 1
+        capsys.readouterr()
+        assert main(["report", "--stats", str(csv), "--report", str(js), "--out", str(svg)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("K 3  J 1")
+        assert [line.split(":")[0].strip() for line in out if line.endswith(" *")] == ["class 2"]
+        assert 'fill="#cc5544"' in svg.read_text()
 
 
 @pytest.fixture(scope="module")

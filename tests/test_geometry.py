@@ -431,6 +431,15 @@ class TestDatasetIO:
         for a, b in zip(ds.clouds, back.clouds):
             np.testing.assert_allclose(a, b, rtol=1e-8)
 
+    def test_point_line_text(self, tmp_path):
+        # Nine significant digits per coordinate, signed zero and subnormals kept.
+        X = np.array([[-0.0, 5e-324, 1 / 3], [123456789.5, 1e300, -2.5e-7], [0.1, -1.0, 2.0**-1022]])
+        p = tmp_path / "split.txt"
+        save_dataset(Dataset(clouds=[X], labels=np.array([0]), num_classes=1), p)
+        assert p.read_text(encoding="ascii") == (
+            "0 3\n-0 4.94065646e-324 0.333333333\n123456790 1e+300 -2.5e-07\n0.1 -1 2.22507386e-308\n"
+        )
+
     def test_nine_digit_stability(self, tmp_path):
         ds = Dataset(clouds=[generate_shape(2, 20, 9)], labels=np.array([0]), num_classes=1)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"

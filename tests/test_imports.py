@@ -1,7 +1,9 @@
 """Every name a module under src/pcbdet or tests/ imports is used there or
 re-exported, every name a package module exports in __all__ is defined, and
 every module-level function is referenced somewhere in the package: a private
-one always, a public one unless UNCALLED_API names it."""
+one always, a public one unless UNCALLED_API names it. Likewise every
+dataclass field and property is read by package code unless UNREAD_FIELDS
+names it."""
 
 import ast
 import importlib
@@ -140,3 +142,55 @@ def test_checker_finds_test_only_api():
 def test_no_test_only_api():
     # Equality, not a subset: an exemption whose function gains a caller goes.
     assert sorted(name.split(":")[1] for name in uncalled_public_functions(package_sources())) == sorted(UNCALLED_API)
+
+
+def _is_dataclass(node) -> bool:
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(dec, "id", None) == "dataclass" or getattr(dec, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(sources: dict) -> list:
+    """'Class.name' for each dataclass field or property that no package code
+    loads as an attribute or names in a string (config.SECTIONS,
+    report.STATS_VALUES and getattr calls name fields in strings)."""
+    members, read = [], set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        members.append((node.name, item.target.id))
+                    elif isinstance(item, ast.FunctionDef) and any(
+                        getattr(dec, "id", None) == "property" for dec in item.decorator_list
+                    ):
+                        members.append((node.name, item.name))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{cls}.{name}" for cls, name in members if name not in read]
+
+
+def test_checker_finds_test_only_fields():
+    sources = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass(frozen=True)\nclass A:\n    kept: int\n    named: int\n    lonely: int\n"
+             "    @property\n    def shown(self):\n        return self.kept\n"
+             "    @property\n    def hidden(self):\n        return 0\n"
+             "class Plain:\n    unread: int\n",
+        "b": "COLUMNS = ('named',)\ndef f(a):\n    a.lonely = a.shown\n",
+    }
+    assert unread_fields(sources) == ["A.lonely", "A.hidden"]
+
+
+# Dataclass fields and properties that no package code reads, each with the
+# reason it stays.
+UNREAD_FIELDS = {"GroupEstimate.rho": "the detect diagnostics of ROADMAP aim 4 will read it"}
+
+
+def test_no_test_only_fields():
+    # Equality, not a subset: an exemption whose field gains a reader goes.
+    assert sorted(unread_fields(package_sources())) == sorted(UNREAD_FIELDS)
