@@ -181,15 +181,20 @@ def _block_product(x: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out.reshape(*x.shape[:-1], W.shape[1])
 
 
+def _first_layer(w: ClassifierWeights, pts: np.ndarray) -> np.ndarray:
+    """Per-point layer-1 activations a1 with row-stable arithmetic."""
+    a1 = _block_product(pts, w.w1)
+    a1 += w.b1
+    return np.maximum(a1, 0.0, out=a1)
+
+
 def _point_features(w: ClassifierWeights, pts: np.ndarray):
     """Per-point activations (a1, a2) with row-stable arithmetic; pts is (..., 3).
 
     The ReLUs run in place, so no pre-activation is kept: a > 0 exactly where
     z > 0, which is all the backward pass needs.
     """
-    a1 = _block_product(pts, w.w1)
-    a1 += w.b1
-    np.maximum(a1, 0.0, out=a1)
+    a1 = _first_layer(w, pts)
     a2 = _block_product(a1, w.w2)
     a2 += w.b2
     np.maximum(a2, 0.0, out=a2)
@@ -293,11 +298,18 @@ def margin_cotangent(logits: np.ndarray, source, target) -> np.ndarray:
 
 def _batch_forward(w: ClassifierWeights, pts: np.ndarray):
     """pts: (B, n, 3). Returns logits plus everything backward needs."""
-    a1, a2 = _point_features(w, pts)
-    pooled = a2.max(axis=1)  # (B, 128)
-    # Each channel's winner is the first point attaining its max, the index
-    # a2.argmax(axis=1) gives, found faster by comparing with the max.
-    winners = (a2 == pooled[:, None, :]).argmax(axis=1)  # (B, 128)
+    a1 = _first_layer(w, pts)
+    # Pool before the layer-2 bias and ReLU: both are monotone, and so is
+    # their rounding, so relu(max(z2) + b2) is max(relu(z2 + b2)) bit for
+    # bit, and only the (B, 128) maxima take the bias.
+    z2 = _block_product(a1, w.w2)
+    top = z2.max(axis=1)  # (B, 128)
+    pooled = np.maximum(top + w.b2, 0.0)
+    # Each channel's winner is the first point attaining the max of z2,
+    # found by comparing with it (a float argmax would copy z2). Where the
+    # pooled value is 0, every a2 is 0 and the first point, 0, wins.
+    winners = (z2 == top[:, None, :]).argmax(axis=1)  # (B, 128)
+    winners[pooled == 0.0] = 0
     # The head is a plain matmul, not _head: training compares no logits
     # across evaluations, and padded blocks would change the arithmetic of
     # a batch of a few clouds and so the trained weights.

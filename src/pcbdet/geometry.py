@@ -7,6 +7,7 @@ computed quantity, which the test suite enforces.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -360,15 +361,14 @@ def _points_at_once(block: list, n: int):
     return rows if rows.shape == (n, 3) else None
 
 
-def _points_by_line(path, lines: list, i: int, n: int) -> np.ndarray:
-    """The points of the record whose header is at index i, one line at a
-    time; the first line that is not 'x y z' raises ValueError naming the
-    file and the line."""
-    # Never more rows than the file has lines left, whatever n claims.
-    rows = np.empty((min(n, len(lines) - i - 1), 3))
+def _points_by_line(path, block: list, i: int, n: int) -> np.ndarray:
+    """The points of the record whose header is at index i, from its block
+    of at most n lines, one line at a time; the first line that is not
+    'x y z' raises ValueError naming the file and the line."""
+    rows = np.empty((len(block), 3))
     for j in range(n):
         try:
-            x, y, z = lines[i + 1 + j].split()
+            x, y, z = block[j].split()
             rows[j] = [float(x), float(y), float(z)]
         except (ValueError, IndexError):
             raise ValueError(
@@ -377,34 +377,55 @@ def _points_by_line(path, lines: list, i: int, n: int) -> np.ndarray:
     return rows
 
 
+def _check_ascii(path) -> None:
+    """Raise ValueError naming the file and the 1-based line of the first
+    byte that is not ASCII, as read_text does, reading 1 MiB at a time."""
+    newlines = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if not chunk.isascii():
+                start = next(k for k, byte in enumerate(chunk) if byte > 0x7F)
+                line = newlines + chunk.count(b"\n", 0, start) + 1
+                raise ValueError(f"{path}: line {line}: not ascii text")
+            newlines += chunk.count(b"\n")
+
+
 def load_dataset(path, num_classes: int) -> Dataset:
-    """Read a dataset file; a malformed, truncated or non-finite record, or a
-    label outside [0, num_classes), raises ValueError naming the file and the
-    1-based line."""
+    """Read a dataset file one record at a time; a byte that is not ASCII, a
+    malformed, truncated or non-finite record, or a label outside
+    [0, num_classes), raises ValueError naming the file and the 1-based line.
+
+    Lines may end in LF, CRLF or a lone CR, as in read_text. The whole file
+    is checked for ASCII first, so that error wins over any other, as it
+    does when the file is decoded at once.
+    """
     clouds: list = []
     labels: list = []
-    lines = read_text(path).split("\n")
-    i = 0
-    while i < len(lines):
-        ln = lines[i].strip()
-        if not ln:
-            i += 1
-            continue
-        try:
-            lab, n = (int(v) for v in ln.split())
-        except ValueError:
-            raise ValueError(f"{path}: line {i + 1}: expected 'label n' record header") from None
-        if n < 1:
-            raise ValueError(f"{path}: line {i + 1}: a record needs at least one point")
-        if not 0 <= lab < num_classes:
-            raise ValueError(f"{path}: line {i + 1}: label {lab} out of range")
-        rows = _points_at_once(lines[i + 1 : i + 1 + n], n)
-        if rows is None:
-            rows = _points_by_line(path, lines, i, n)
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"{path}: line {i + 2 + int(np.argmin(finite))}: non-finite coordinate")
-        clouds.append(rows)
-        labels.append(lab)
-        i += 1 + n
+    _check_ascii(path)
+    with open(path, encoding="ascii") as fh:
+        i = 0
+        for ln in fh:
+            ln = ln.strip()
+            if not ln:
+                i += 1
+                continue
+            try:
+                lab, n = (int(v) for v in ln.split())
+            except ValueError:
+                raise ValueError(f"{path}: line {i + 1}: expected 'label n' record header") from None
+            if n < 1:
+                raise ValueError(f"{path}: line {i + 1}: a record needs at least one point")
+            if not 0 <= lab < num_classes:
+                raise ValueError(f"{path}: line {i + 1}: label {lab} out of range")
+            # At most n lines, and never more than the file has left.
+            block = list(itertools.islice(fh, n))
+            rows = _points_at_once(block, n)
+            if rows is None:
+                rows = _points_by_line(path, block, i, n)
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"{path}: line {i + 2 + int(np.argmin(finite))}: non-finite coordinate")
+            clouds.append(rows)
+            labels.append(lab)
+            i += 1 + n
     return Dataset(clouds=clouds, labels=np.asarray(labels), num_classes=num_classes)

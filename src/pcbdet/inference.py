@@ -14,6 +14,10 @@ failed classes) never enter the Gamma fit: a Gamma puts no mass at 0, and a
 zero can never be the maximum, so it adds nothing to the order-statistic
 test either. The null and the exponent of the test count positive retained
 statistics only.
+
+scipy.special is imported inside the functions that fit or evaluate the
+Gamma, so a process that never fits the null (gen-data, train, attack,
+report) never loads scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from pcbdet.geometry import as_cloud, as_point, cloud_distances
 
@@ -239,6 +242,8 @@ def _gamma_shape_mle(mean, gap, start):
     Each element stops once its update is below 1e-10 (at most 100 steps); a
     step that would leave k <= 0 halves k instead.
     """
+    from scipy import special
+
     shape = np.array(start, dtype=np.float64)
     active = np.ones(shape.shape, dtype=bool)
     for _ in range(100):
@@ -278,6 +283,8 @@ def fit_gamma_null(values) -> NullFit:
 
 def _gamma_log_sf(fit: NullFit, x: float) -> float:
     """log of the Gamma upper tail, with an asymptotic fallback at underflow."""
+    from scipy import special
+
     y = x / fit.scale
     sf = float(special.gammaincc(fit.shape, y))
     if sf > 0.0:
@@ -292,6 +299,8 @@ def order_statistic_pvalue(fit: NullFit, r_max: float, num_classes: int, num_exc
 
     Values below 1e-323 are flagged as underflow and reported through log_pv.
     """
+    from scipy import special
+
     m = num_classes - num_excluded
     if m < 1:
         raise ValueError("need at least one retained statistic")
@@ -324,6 +333,8 @@ def calibrated_pvalue(fit: NullFit, r_max: float, num_null: int, num_top: int) -
     are taken on that tail. Returns (1 + #{simulated <= observed}) /
     (CALIBRATION_DRAWS + 1), so its smallest value is 1 / 2001.
     """
+    from scipy import special
+
     draws = CALIBRATION_DRAWS
     rng = np.random.default_rng(0xCA11B)
     x = np.maximum(rng.gamma(fit.shape, fit.scale, size=(draws, num_null + num_top)), FIT_FLOOR)

@@ -12,7 +12,7 @@ import pytest
 
 from pcbdet import pipeline
 from pcbdet.attack import AttackConfig
-from pcbdet.cli import main
+from pcbdet.cli import EXIT_ATTACKED, EXIT_CLEAN, main
 from pcbdet.config import SECTIONS, DataConfig, RunConfig, default_config, load_config, save_config
 from pcbdet.classifier import TrainConfig, load_weights, predict
 from pcbdet.estimation import EstimationParams
@@ -42,6 +42,12 @@ def tiny_config(out_dir) -> RunConfig:
     cfg.estimation.n_restarts = 2
     cfg.out_dir = str(out_dir)
     return cfg
+
+
+def _env_with_src(**extra) -> dict:
+    """The environment for a child Python that imports this checkout's pcbdet."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestConfig:
@@ -517,6 +523,32 @@ class TestCliPipeline:
         assert main(argv) == code
         assert message in capsys.readouterr().err
 
+    def test_only_detect_loads_scipy(self, tmp_path):
+        # scipy.special costs about 25 MB and a quarter of a second to import,
+        # and only detect's Gamma null uses it.
+        cfg = tiny_config(tmp_path / "run")
+        cfg.estimation.tau_max = 20
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        run = ["--config", str(cfg_path)]
+        weights = str(tmp_path / "run" / "clean.weights")
+        stages = [["gen-data", *run], ["train", *run], ["attack", *run, "--weights", weights]]
+        detect_argv = ["detect", *run, "--weights", weights]
+        code = (
+            "import json, sys; from pcbdet.cli import main\n"
+            f"codes = [main(argv) for argv in {stages!r}]\n"
+            "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            f"codes.append(main({detect_argv!r}))\n"
+            "print(json.dumps([codes, before, 'scipy.special' in sys.modules]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True,
+                             timeout=300)
+        assert out.returncode == 0, out.stderr
+        codes, before, after = json.loads(out.stdout.splitlines()[-1])
+        assert codes[:3] == [0, 0, 0] and codes[3] in (EXIT_CLEAN, EXIT_ATTACKED), codes
+        assert before == []
+        assert after
+
     def test_init_config(self, tmp_path):
         path = tmp_path / "default.cfg"
         assert main(["init-config", "--config", str(path)]) == 0
@@ -529,33 +561,39 @@ class TestCliPipeline:
 class TestReproducibility:
     def test_weights_independent_of_blas_thread_count(self, tmp_path):
         # Training sums over rows in a fixed order, so its weights do not
-        # depend on how many threads BLAS splits a product over; 3 and 4
+        # depend on how many threads BLAS splits a product over, and detect
+        # multiplies in fixed row blocks, so neither do its outputs; 3 and 4
         # threads may oversubscribe the cores, which changes only the speed.
+        # Enough training that every class has 5 correctly classified clean
+        # clouds for detect; the poisoned set still ends in a partial batch.
         cfg = tiny_config(tmp_path / "data")
-        cfg.data.train_per_class = 4
+        cfg.data.train_per_class = 8
         cfg.data.test_per_class = 2
-        cfg.data.reserve_per_class = 2
+        cfg.data.reserve_per_class = 8
         cfg.data.points_per_cloud = 256
-        cfg.train.epochs = 1
+        cfg.train.epochs = 10
+        cfg.estimation.tau_max = 20
         cfg_path = tmp_path / "run.cfg"
         save_config(cfg, cfg_path)
         assert main(["gen-data", "--config", str(cfg_path)]) == 0
-        src = str(Path(pipeline.__file__).resolve().parents[1])
         procs = {}
         for threads in ("1", "2", "3", "4"):
             out = tmp_path / f"threads-{threads}"
             shutil.copytree(tmp_path / "data", out)
             run = ["--config", str(cfg_path), "--out", str(out)]
             train, attack = ["train", *run], ["attack", *run, "--weights", str(out / "clean.weights")]
-            code = f"import sys; from pcbdet.cli import main; sys.exit(main({train!r}) or main({attack!r}))"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            procs[out] = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
-                                          stderr=subprocess.STDOUT, text=True)
+            detect_argv = ["detect", *run, "--weights", str(out / "poisoned.weights")]
+            # detect exits 2 or 3 for its verdict; only 1 is an error.
+            code = ("import sys; from pcbdet.cli import main; "
+                    f"sys.exit(main({train!r}) or main({attack!r}) or main({detect_argv!r}) == 1)")
+            procs[out] = subprocess.Popen([sys.executable, "-c", code], env=_env_with_src(OPENBLAS_NUM_THREADS=threads),
+                                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         for proc in procs.values():
             output, _ = proc.communicate(timeout=300)
             assert proc.returncode == 0, output
         one, *others = procs
+        names = ["clean.weights", "poisoned.weights", "detect-statistics.csv", "detect-report.json",
+                 "detect-histogram.svg"]
         for other in others:
-            for name in ("clean.weights", "poisoned.weights"):
+            for name in names:
                 assert (one / name).read_bytes() == (other / name).read_bytes(), (other.name, name)

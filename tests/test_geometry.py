@@ -363,10 +363,12 @@ separators = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"])
 
 @st.composite
 def dataset_texts(draw):
-    """Dataset files whose records mostly parse. A header may give a label
-    outside [0, 3) or another point count than follows; a record's lines
-    mostly hold one number of tokens, 3 or else 2 or 4, but some hold 0, 2,
-    3 or 4. Some files end early, after any line, a header too."""
+    """Dataset files, as bytes, whose records mostly parse. A header may give
+    a label outside [0, 3) or another point count than follows; a record's
+    lines mostly hold one number of tokens, 3 or else 2 or 4, but some hold
+    0, 2, 3 or 4. Some files end early, after any line, a header too. Lines
+    mostly end in LF, some in CRLF or a lone CR, and some files hold one
+    byte that is not ASCII."""
     out = []
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.integers(1, 5))
@@ -382,7 +384,13 @@ def dataset_texts(draw):
             out.append(draw(st.sampled_from(["", " ", "\t"])) + line)
     if draw(st.integers(0, 3)) == 0:
         out = out[: draw(st.integers(1, len(out)))]
-    return "\n".join(out) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    endings = st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in out[:-1]) + out[-1]
+    data = (text + draw(st.sampled_from(["", "\n", "\n\n", "\r\n", "\r"]))).encode("ascii")
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    return data
 
 
 def load_outcome(load, path):
@@ -400,11 +408,11 @@ def text_dir(tmp_path_factory):
 
 class TestDatasetIO:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(text=dataset_texts())
-    def test_same_as_line_by_line_parse(self, text_dir, text):
+    @given(data=dataset_texts())
+    def test_same_as_line_by_line_parse(self, text_dir, data):
         # The same arrays bit for bit, or the same error naming the same line.
         path = text_dir / "split.txt"
-        path.write_text(text, encoding="ascii")
+        path.write_bytes(data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # nor a warning on the way
             assert load_outcome(load_dataset, path) == load_outcome(line_by_line_load_dataset, path)
@@ -494,3 +502,14 @@ class TestDatasetIO:
         p.write_bytes(b"0 2\n0 0 0\n0 \xe9 0\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: line 3:")):
             load_dataset(p, 1)
+
+    def test_non_ascii_byte_past_a_malformed_record(self, tmp_path):
+        # The file is checked for ASCII before any record is parsed, so a
+        # byte more than 1 MiB in wins over the bad point line at line 3.
+        p = tmp_path / "split.txt"
+        filler = b"0 0 0\n" * ((1 << 20) // 6 + 100)
+        p.write_bytes(b"0 2\n0 0 0\n0 0\n" + filler + b"0 \xe9 0\n")
+        line = 3 + filler.count(b"\n") + 1
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line {line}: not ascii text")):
+            load_dataset(p, 1)
+        assert load_outcome(load_dataset, p) == load_outcome(line_by_line_load_dataset, p)

@@ -152,13 +152,69 @@ def _is_dataclass(node) -> bool:
     return False
 
 
+def _annotated_class(annotation):
+    """The class an annotation names, as `C` or `C | None`; else None."""
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        sides = [a for a in (annotation.left, annotation.right) if not isinstance(a, ast.Constant)]
+        return _annotated_class(sides[0]) if len(sides) == 1 else None
+    return annotation.id if isinstance(annotation, ast.Name) else None
+
+
+def _scope_nodes(scope):
+    """The nodes of a module's or function's own code, not of the functions
+    defined in it (a class body belongs to the scope around it)."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _receiver_classes(func, classes: set, owner) -> dict:
+    """name -> class for the names of a function whose class is known: the
+    first parameter of a method (owner's), an annotated parameter or local,
+    or a name assigned a call of a package class. A name given two classes
+    is left out."""
+    found = {}
+
+    def bind(name, cls):
+        found[name] = cls if found.get(name, cls) == cls else None
+
+    params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+    if owner and params:
+        bind(params[0].arg, owner)
+    for arg in params:
+        if cls := _annotated_class(arg.annotation):
+            bind(arg.arg, cls)
+    for node in _scope_nodes(func):
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            if cls := _annotated_class(node.annotation):
+                bind(node.target.id, cls)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Name) and node.value.func.id in classes):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bind(target.id, node.value.func.id)
+    return {name: cls for name, cls in found.items() if cls}
+
+
 def unread_fields(sources: dict) -> list:
     """'Class.name' for each dataclass field or property that no package code
-    loads as an attribute or names in a string (config.SECTIONS,
-    report.STATS_VALUES and getattr calls name fields in strings)."""
-    members, read = [], set()
-    for source in sources.values():
-        for node in ast.walk(ast.parse(source)):
+    reads. A load `x.name` reads Class.name alone when x's class is known in
+    its function (see _receiver_classes), and reads nothing when it only
+    copies the field into a new instance of that class (`Class(name=x.name)`);
+    a load on any other receiver reads every field of that name, and so does
+    a string (config.SECTIONS, report.STATS_VALUES and getattr calls name
+    fields in strings)."""
+    trees = [ast.parse(source) for source in sources.values()]
+    classes = {node.name for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    members, by_name, by_class = [], set(), set()
+    for tree in trees:
+        owners = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owners.update((item, node.name) for item in node.body if isinstance(item, ast.FunctionDef))
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 for item in node.body:
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
@@ -167,11 +223,32 @@ def unread_fields(sources: dict) -> list:
                         getattr(dec, "id", None) == "property" for dec in item.decorator_list
                     ):
                         members.append((node.name, item.name))
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
-    return [f"{cls}.{name}" for cls, name in members if name not in read]
+        scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in scopes:
+            known = {} if scope is tree else _receiver_classes(scope, classes, owners.get(scope))
+            nodes = list(_scope_nodes(scope))
+
+            def receiver(attr):
+                return known.get(attr.value.id) if isinstance(attr.value, ast.Name) else None
+
+            copies = {
+                id(kw.value)
+                for node in nodes
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                for kw in node.keywords
+                if isinstance(kw.value, ast.Attribute) and kw.value.attr == kw.arg
+                and receiver(kw.value) == node.func.id
+            }
+            for node in nodes:
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in copies:
+                    cls = receiver(node)
+                    if cls:
+                        by_class.add((cls, node.attr))
+                    else:
+                        by_name.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    by_name.add(node.value)
+    return [f"{cls}.{name}" for cls, name in members if name not in by_name and (cls, name) not in by_class]
 
 
 def test_checker_finds_test_only_fields():
@@ -184,6 +261,24 @@ def test_checker_finds_test_only_fields():
         "b": "COLUMNS = ('named',)\ndef f(a):\n    a.lonely = a.shown\n",
     }
     assert unread_fields(sources) == ["A.lonely", "A.hidden"]
+
+
+def test_checker_resolves_receivers():
+    # A load reads the field of its receiver's class when that is known: an
+    # annotated parameter or local, a constructor call, or self in a method.
+    # A copy into a new instance of the class reads nothing.
+    sources = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass\nclass A:\n    values: list\n    size: int\n    tag: str\n    mark: int\n"
+             "    @property\n    def total(self):\n        return self.mark\n"
+             "@dataclass\nclass B:\n    size: int\n    mark: int\n",
+        "b": "def f(stacks: dict, a: A, b: B | None, c):\n"
+             "    n: int = 0\n"
+             "    fresh = B(size=1, mark=2)\n"
+             "    copy = A(values=a.values, size=fresh.size, tag=c.tag, mark=0)\n"
+             "    return stacks.values(), n.size, b.mark, a.total, copy\n",
+    }
+    assert unread_fields(sources) == ["A.values", "A.size"]
 
 
 # Dataclass fields and properties that no package code reads, each with the
