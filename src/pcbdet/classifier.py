@@ -181,24 +181,20 @@ def _block_product(x: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out.reshape(*x.shape[:-1], W.shape[1])
 
 
-def _first_layer(w: ClassifierWeights, pts: np.ndarray) -> np.ndarray:
-    """Per-point layer-1 activations a1 with row-stable arithmetic."""
+def _point_layers(w: ClassifierWeights, pts: np.ndarray):
+    """Layer-1 activations a1 (ReLU in place) and layer-2 pre-activations z2
+    of pts (..., 3), with row-stable arithmetic.
+
+    Every cloud is pooled before the layer-2 bias and ReLU (an inserted
+    point is its own pool). Both are monotone, and so is the rounding of the
+    bias-add, so relu(max(z2) + b2) is max(relu(z2 + b2)) bit for bit, and
+    only the pooled rows take them. No pre-activation of layer 1 is kept:
+    a > 0 exactly where z > 0, which is all the backward pass needs.
+    """
     a1 = _block_product(pts, w.w1)
     a1 += w.b1
-    return np.maximum(a1, 0.0, out=a1)
-
-
-def _point_features(w: ClassifierWeights, pts: np.ndarray):
-    """Per-point activations (a1, a2) with row-stable arithmetic; pts is (..., 3).
-
-    The ReLUs run in place, so no pre-activation is kept: a > 0 exactly where
-    z > 0, which is all the backward pass needs.
-    """
-    a1 = _first_layer(w, pts)
-    a2 = _block_product(a1, w.w2)
-    a2 += w.b2
-    np.maximum(a2, 0.0, out=a2)
-    return a1, a2
+    np.maximum(a1, 0.0, out=a1)
+    return a1, _block_product(a1, w.w2)
 
 
 def _head(w: ClassifierWeights, pooled: np.ndarray):
@@ -229,9 +225,7 @@ def pool_vector(w: ClassifierWeights, X) -> np.ndarray:
     max(pool_vector(X), features(c)), which is what the estimation loop
     exploits to avoid re-encoding X at every iterate.
     """
-    X = as_cloud(X)
-    _, a2 = _point_features(w, X)
-    return a2.max(axis=0)
+    return np.maximum(_point_layers(w, as_cloud(X))[1].max(axis=0) + w.b2, 0.0)
 
 
 def insertion_logits(w: ClassifierWeights, pooled_base: np.ndarray, c: np.ndarray):
@@ -246,7 +240,9 @@ def insertion_logits(w: ClassifierWeights, pooled_base: np.ndarray, c: np.ndarra
     go to the existing point (the insertion is appended after all cloud
     points).
     """
-    a1, a2 = _point_features(w, c)
+    a1, a2 = _point_layers(w, c)
+    a2 += w.b2
+    np.maximum(a2, 0.0, out=a2)
     a2e = a2[..., None, :]  # (..., 1, 128)
     win = a2e > pooled_base  # strict: existing points keep ties
     a3, logits = _head(w, np.maximum(pooled_base, a2e))
@@ -298,11 +294,7 @@ def margin_cotangent(logits: np.ndarray, source, target) -> np.ndarray:
 
 def _batch_forward(w: ClassifierWeights, pts: np.ndarray):
     """pts: (B, n, 3). Returns logits plus everything backward needs."""
-    a1 = _first_layer(w, pts)
-    # Pool before the layer-2 bias and ReLU: both are monotone, and so is
-    # their rounding, so relu(max(z2) + b2) is max(relu(z2 + b2)) bit for
-    # bit, and only the (B, 128) maxima take the bias.
-    z2 = _block_product(a1, w.w2)
+    a1, z2 = _point_layers(w, pts)
     top = z2.max(axis=1)  # (B, 128)
     pooled = np.maximum(top + w.b2, 0.0)
     # Each channel's winner is the first point attaining the max of z2,

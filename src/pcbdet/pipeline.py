@@ -132,6 +132,16 @@ def _load_test_split(out_dir, num_classes: int) -> Dataset:
     return test_ds
 
 
+def _load_model(cfg: RunConfig, path) -> ClassifierWeights:
+    """The weights at path, which must classify the config's classes."""
+    w = load_weights(path)
+    if w.num_classes != cfg.data.classes:
+        raise ValueError(
+            f"{path}: weights of a {w.num_classes}-class network, but the config has classes = {cfg.data.classes}"
+        )
+    return w
+
+
 def train_stage(cfg: RunConfig, out_dir) -> dict:
     out = Path(out_dir)
     train_ds = _load_split(out, "train", cfg.data.classes)
@@ -153,7 +163,7 @@ def attack_stage(cfg: RunConfig, out_dir, clean_weights) -> dict:
     train_ds = _load_split(out, "train", cfg.data.classes)
     test_ds = _load_test_split(out, cfg.data.classes)
     a = cfg.attack
-    w_clean = load_weights(clean_weights)
+    w_clean = _load_model(cfg, clean_weights)
     source_clouds = train_ds.clouds_of_class(a.source)
     center = choose_center(source_clouds, a.standoff, a.candidates, a.seed, weights=w_clean)
     pattern = make_pattern(center, a.pattern_points, a.seed, radius=a.pattern_radius)
@@ -267,7 +277,7 @@ def assemble_statistics(w, detection_sets, params: EstimationParams, seed: int, 
 
 def detect_stage(cfg: RunConfig, weights_path, out_dir, prefix: str) -> DetectionReport:
     out = Path(out_dir)
-    w = load_weights(weights_path)
+    w = _load_model(cfg, weights_path)
     clean = _load_split(out, "clean", cfg.data.classes)
     reserve = _load_split(out, "reserve", cfg.data.classes)
     sets = build_detection_sets(w, clean, reserve, cfg.data.clean_per_class)

@@ -53,7 +53,9 @@ def read_statistics_csv(path):
 
     A wrong header, a wrong field count, an unparsable or non-finite value,
     or a negative one in a column other than z raises ValueError naming the
-    file and the 1-based line.
+    file and the 1-based line. So does an integer column out of its rule:
+    class is the row's 0-based index, t_hat is -1 or a class other than the
+    row's, and excluded is 0 or 1.
     """
     names = STATS_HEADER.split(",")
     lines = [(n, ln.strip()) for n, ln in enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
@@ -76,6 +78,12 @@ def read_statistics_csv(path):
             # normalized score or a ratio of them, never below 0.
             if name in STATS_VALUES and name != "z" and row[name] < 0:
                 raise ValueError(f"{path}: line {lineno}: {name} = {value} is negative")
+        if row["class"] != len(rows):
+            raise ValueError(f"{path}: line {lineno}: class = {row['class']} in the row of class {len(rows)}")
+        if row["t_hat"] != -1 and not (0 <= row["t_hat"] < len(lines) - 1 and row["t_hat"] != row["class"]):
+            raise ValueError(f"{path}: line {lineno}: t_hat = {row['t_hat']} is neither -1 nor another class")
+        if row["excluded"] not in (0, 1):
+            raise ValueError(f"{path}: line {lineno}: excluded = {row['excluded']} is not 0 or 1")
         rows.append(row)
     return rows
 

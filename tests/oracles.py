@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy import special
 
-from pcbdet.classifier import forward_logits
+from pcbdet.classifier import _point_layers, forward_logits
 from pcbdet.geometry import COINCIDENT_EPS, Dataset, as_cloud, as_point, cloud_distances, read_text
 
 
@@ -31,6 +31,15 @@ def full_scan_distances(points, clouds):
         nearest = np.take_along_axis(diff, idx[..., None], axis=-2)[..., 0, :]
         np.divide(nearest, d[..., None], out=units[..., m, :], where=(d > COINCIDENT_EPS)[..., None])
     return dists, units
+
+
+def point_features(w, pts):
+    """Per-point layer-2 activations relu(z2 + b2) of pts (..., 3): the bias
+    and ReLU on every point's z2 from classifier._point_layers. pool_vector
+    pools before them, and must give their max over points bit for bit."""
+    a2 = _point_layers(w, pts)[1]
+    a2 += w.b2
+    return np.maximum(a2, 0.0, out=a2)
 
 
 def dense_batch_backward(w, fwd, g_logits):

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pcbdet.classifier import (
     ClassifierWeights,
@@ -14,7 +17,6 @@ from pcbdet.classifier import (
     WeightsFormatError,
     _batch_backward,
     _batch_forward,
-    _point_features,
     _softmax,
     accuracy,
     forward_logits,
@@ -29,7 +31,7 @@ from pcbdet.classifier import (
     train,
 )
 from pcbdet.geometry import Dataset, generate_shape
-from tests.oracles import dense_batch_backward, distance_to_cloud, mean_cross_entropy
+from tests.oracles import dense_batch_backward, distance_to_cloud, mean_cross_entropy, point_features
 
 
 def reference_forward(w, X):
@@ -102,6 +104,27 @@ class TestForward:
             forward_logits(small_weights, np.vstack([X, c[None]])),
             forward_logits(small_weights, X),
         )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        X=hnp.arrays(np.float64, st.tuples(st.integers(1, 300), st.just(3)), elements=st.floats(-4.0, 4.0)),
+        seed=st.integers(0, 2**16),
+        copies=st.integers(0, 40),
+    )
+    def test_pool_vector_is_the_max_of_per_point_features(self, X, seed, copies):
+        # Biases from a seed; about a quarter of the layer-2 channels get a
+        # bias that keeps them off on every point. The cloud repeats some of
+        # its points.
+        rng = np.random.default_rng(seed)
+        w = init_weights(num_classes=3, seed=seed)
+        w.b1 = rng.normal(0.0, 0.5, size=w.b1.shape)
+        w.b2 = rng.normal(0.0, 1.0, size=w.b2.shape)
+        dead = rng.random(w.b2.shape) < 0.25
+        w.b2[dead] = -1e3
+        X = np.vstack([X, X[rng.integers(0, len(X), size=copies)]])
+        got = pool_vector(w, X)
+        assert got.tobytes() == point_features(w, X).max(axis=0).tobytes()
+        assert np.all(got[dead] == 0.0)
 
 
 class TestInsertionPredictions:
@@ -350,7 +373,7 @@ def train_cotangent(logits, labels):
 
 def with_a2(w, fwd):
     """fwd plus the per-point features a2, which the dense oracle reads."""
-    return dict(fwd, a2=_point_features(w, fwd["pts"])[1])
+    return dict(fwd, a2=point_features(w, fwd["pts"]))
 
 
 def assert_matches_dense(w, fwd, g_logits):
@@ -409,7 +432,7 @@ class TestBatchBackward:
         pts = np.stack([np.vstack([X, np.repeat(X[:1], longest - len(X), axis=0)]) for X in clouds])
         fwd = _batch_forward(small_weights, pts)
         for b, X in enumerate(clouds):
-            a2 = _point_features(small_weights, X)[1]
+            a2 = point_features(small_weights, X)
             np.testing.assert_array_equal(fwd["pooled"][b], a2.max(axis=0))
             np.testing.assert_array_equal(fwd["winners"][b], a2.argmax(axis=0))
             assert fwd["winners"][b].max() < len(X)
@@ -432,7 +455,7 @@ class TestBatchBackward:
             sizes.append(own)
             assert fwd["pts"].shape[:2] == (len(own), max(own))
             for b, n in enumerate(own):
-                a2 = _point_features(w, fwd["pts"][b, :n])[1]
+                a2 = point_features(w, fwd["pts"][b, :n])
                 np.testing.assert_array_equal(fwd["pooled"][b], a2.max(axis=0))
                 np.testing.assert_array_equal(fwd["winners"][b], a2.argmax(axis=0))
             return assert_matches_dense(w, fwd, g_logits)[0]

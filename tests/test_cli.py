@@ -14,7 +14,7 @@ from pcbdet import pipeline
 from pcbdet.attack import AttackConfig
 from pcbdet.cli import EXIT_ATTACKED, EXIT_CLEAN, main
 from pcbdet.config import SECTIONS, DataConfig, RunConfig, default_config, load_config, save_config
-from pcbdet.classifier import TrainConfig, load_weights, predict
+from pcbdet.classifier import TrainConfig, init_weights, load_weights, predict, save_weights
 from pcbdet.estimation import EstimationParams
 from pcbdet.geometry import load_dataset
 from pcbdet.inference import ClassStatistics, DetectionReport, NullFit, PValue, detect
@@ -487,9 +487,19 @@ class TestCliPipeline:
              "line 2: r = -0.5 is negative"),
             ("csv", lambda t: re.sub(r"^(1,(?:[^,]*,){8})[^,]*", r"\1-1e-300", t, flags=re.M),
              "line 3: w_over_rs = -1e-300 is negative"),
+            ("csv", lambda t: re.sub(r"^0,", "3,", t, count=1, flags=re.M), "line 2: class = 3 in the row of class 0"),
+            ("csv", lambda t: re.sub(r"^1,[^,]*", "1,99", t, flags=re.M),
+             "line 3: t_hat = 99 is neither -1 nor another class"),
+            ("csv", lambda t: re.sub(r"^1,[^,]*", "1,1", t, flags=re.M),
+             "line 3: t_hat = 1 is neither -1 nor another class"),
+            ("csv", lambda t: re.sub(r"^2,[^,]*", "2,-2", t, flags=re.M),
+             "line 4: t_hat = -2 is neither -1 nor another class"),
+            ("csv", lambda t: re.sub(r",[01]$", ",2", t, count=1, flags=re.M), "line 2: excluded = 2 is not 0 or 1"),
         ],
         ids=["csv-empty-field", "csv-missing-field", "csv-header", "csv-short-row", "json-missing-key",
-             "json-string", "json-truncated", "csv-nan", "json-nan", "csv-negative-r", "csv-negative-ratio"],
+             "json-string", "json-truncated", "csv-nan", "json-nan", "csv-negative-r", "csv-negative-ratio",
+             "csv-class-not-index", "csv-t-hat-out-of-range", "csv-t-hat-is-source", "csv-t-hat-negative",
+             "csv-excluded-not-flag"],
     )
     def test_report_input_fails_at_the_boundary(self, detected, tmp_path, capsys, which, edit, message):
         paths = {"csv": tmp_path / "s.csv", "json": tmp_path / "r.json"}
@@ -502,6 +512,28 @@ class TestCliPipeline:
         assert code == 1
         assert f"error: {paths[which]}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "h.svg").exists()
+
+    @pytest.mark.parametrize(
+        "command, weights_classes, classes",
+        [("detect", 8, 4), ("detect", 4, 8), ("attack", 8, 4)],
+        ids=["detect-more", "detect-fewer", "attack-more"],
+    )
+    def test_weights_class_count_fails_before_any_output(self, tmp_path, capsys, command, weights_classes, classes):
+        cfg = tiny_config(tmp_path / "run")
+        cfg.data.classes = classes
+        cfg.attack.target = 1
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        assert main(["gen-data", "--config", str(cfg_path)]) == 0
+        weights = tmp_path / "other.weights"
+        save_weights(init_weights(weights_classes, seed=0), weights)
+        before = sorted(p.name for p in (tmp_path / "run").iterdir())
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--weights", str(weights)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {weights}: weights of a {weights_classes}-class network" in err
+        assert f"the config has classes = {classes}" in err
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == before
 
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["detect", "--config", str(tmp_path / "missing.cfg"), "--weights", "x"])
