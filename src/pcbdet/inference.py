@@ -15,9 +15,12 @@ zero can never be the maximum, so it adds nothing to the order-statistic
 test either. The null and the exponent of the test count positive retained
 statistics only.
 
-scipy.special is imported inside the functions that fit or evaluate the
-Gamma, so a process that never fits the null (gen-data, train, attack,
-report) never loads scipy.
+The Gamma's special functions are computed here with numpy and math alone:
+digamma and trigamma by the upward recurrence and their asymptotic Bernoulli
+series (_digamma_trigamma), log Gamma by math.lgamma, and the regularised
+upper incomplete gamma by its power series or its continued fraction (Press
+et al., Numerical Recipes, section 6.2), returned as a logarithm so that a
+tail that underflows keeps its value (_log_gammaincc).
 """
 
 from __future__ import annotations
@@ -236,20 +239,122 @@ def exclusion_set(stats) -> set:
     return excluded
 
 
+# Coefficients of the asymptotic series in powers of 1/x^2, n = 1..7:
+# B_2n / (2n) for digamma and B_2n for trigamma (B_2n the Bernoulli numbers).
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _digamma_trigamma(x):
+    """digamma psi(x) and trigamma psi'(x) of an array x > 0, elementwise.
+
+    Ten steps of psi(x) = psi(x + 1) - 1/x and psi'(x) = psi'(x + 1) + 1/x^2
+    lift every element to x + 10 > 10, where the asymptotic series
+    psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n) and
+    psi'(x) ~ 1/x + 1/(2x^2) + sum B_2n / x^(2n+1), n = 1..7, are accurate
+    to a few units in the last place.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    inv = 1.0 / (x[..., None] + np.arange(10.0))
+    psi = -inv.sum(axis=-1)
+    dpsi = (inv * inv).sum(axis=-1)
+    x = x + 10.0
+    inv2 = 1.0 / (x * x)
+    s_psi, s_dpsi = 0.0, 0.0
+    for c_psi, c_dpsi in zip(reversed(_DIGAMMA_SERIES), reversed(_TRIGAMMA_SERIES)):
+        s_psi = (s_psi + c_psi) * inv2
+        s_dpsi = (s_dpsi + c_dpsi) * inv2
+    psi += np.log(x) - 0.5 / x - s_psi
+    dpsi += (1.0 + 0.5 / x + s_dpsi) / x
+    return psi, dpsi
+
+
+# An incomplete-gamma term that changes its result by less than this
+# fraction ends that element's evaluation.
+_TAIL_RTOL = 1e-15
+
+# Terms after which an incomplete-gamma evaluation gives up. The most are
+# needed at x near a + 1: the series takes about 7.4 sqrt(a) terms there
+# (780 at a = 1e4), the continued fraction about 2 sqrt(a).
+_MAX_TERMS = 100_000
+
+
+def _converge(step, *state):
+    """Apply step(i, *state) for i = 1, 2, ... to the state arrays, dropping
+    each element once step reports it done; returns each element's value at
+    that step. step returns (new state, value, done)."""
+    idx = np.arange(state[0].size)
+    out = np.empty(idx.size)
+    for i in range(1, _MAX_TERMS):
+        if not idx.size:
+            return out
+        state, value, done = step(i, *state)
+        out[idx[done]] = value[done]
+        keep = ~done
+        idx = idx[keep]
+        state = tuple(s[keep] for s in state)
+    raise ArithmeticError(f"incomplete gamma: no convergence in {_MAX_TERMS} terms")
+
+
+def _series_step(i, a, x, term, total):
+    # sum_n x^n / (a (a+1) ... (a+n)), which times x^a e^-x / Gamma(a) is P.
+    term = term * x / (a + i)
+    total = total + term
+    return (a, x, term, total), total, term < total * _TAIL_RTOL
+
+
+def _lentz_step(i, a, x, c, d, f):
+    # The continued fraction f = b_0 + a_1 / (b_1 + a_2 / (b_2 + ...)) with
+    # b_i = x + 1 - a + 2i and a_i = -i (i - a), by the modified Lentz method;
+    # x^a e^-x / Gamma(a) / f is Q. For x >= a + 1 the denominators stay far
+    # from 0, so the method's floor on them is left out.
+    an = -i * (i - a)
+    b = x + 1.0 - a + 2.0 * i
+    d = 1.0 / (b + an * d)
+    c = b + an / c
+    delta = c * d
+    f = f * delta
+    return (a, x, c, d, f), f, np.abs(delta - 1.0) < _TAIL_RTOL
+
+
+def _log_gammaincc(a, x):
+    """log Q(a, x), the regularised upper incomplete gamma Gamma(a, x) /
+    Gamma(a), for arrays (or scalars) a > 0 and x >= 0, elementwise.
+
+    Q(a, 0) = 1. Below x = a + 1 it is 1 - P from the power series of P,
+    elsewhere the continued fraction of Q by the modified Lentz method
+    (Press et al., Numerical Recipes, section 6.2); both are scaled by
+    x^a e^-x / Gamma(a), taken as a logarithm, so a Q that underflows still
+    has a finite log.
+    """
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64))
+    shape = a.shape
+    a, x = a.ravel(), x.ravel()
+    out = np.zeros(a.size)
+    pos = np.flatnonzero(x > 0.0)
+    log_front = a[pos] * np.log(x[pos]) - x[pos] - np.array([math.lgamma(k) for k in a[pos]])
+    series = x[pos] < a[pos] + 1.0
+    s, f = pos[series], pos[~series]
+    total = _converge(_series_step, a[s], x[s], 1.0 / a[s], 1.0 / a[s])
+    out[s] = np.log1p(-np.exp(log_front[series]) * total)
+    b0 = x[f] + 1.0 - a[f]
+    out[f] = log_front[~series] - np.log(_converge(_lentz_step, a[f], x[f], b0, np.zeros(f.size), b0))
+    return out.reshape(shape)
+
+
 def _gamma_shape_mle(mean, gap, start):
     """Newton steps on log(k) - digamma(k) = gap, elementwise.
 
     Each element stops once its update is below 1e-10 (at most 100 steps); a
     step that would leave k <= 0 halves k instead.
     """
-    from scipy import special
-
     shape = np.array(start, dtype=np.float64)
     active = np.ones(shape.shape, dtype=bool)
     for _ in range(100):
         k = shape[active]
-        f = np.log(k) - special.digamma(k) - gap[active]
-        fp = 1.0 / k - special.polygamma(1, k)
+        psi, dpsi = _digamma_trigamma(k)
+        f = np.log(k) - psi - gap[active]
+        fp = 1.0 / k - dpsi
         new = k - f / fp
         new = np.where(new <= 0, k / 2.0, new)
         shape[active] = new
@@ -259,39 +364,39 @@ def _gamma_shape_mle(mean, gap, start):
     return shape, mean / shape
 
 
+def _fit_rows(vals):
+    """Maximum-likelihood Gamma fit of each row of vals (clamped to
+    FIT_FLOOR): (shape, scale, fitted), where shape and scale hold the rows
+    that fitted marks. A row is degenerate and not fitted when its variance
+    is below 1e-30, its values are all equal, or its log-moment gap
+    log(mean) - mean(log) is not positive: equal values have a gap of 0 and
+    an infinite maximum-likelihood shape.
+    """
+    mean = vals.mean(axis=1)
+    var = vals.var(axis=1)
+    # Profile likelihood: log(k) - digamma(k) = log(mean) - mean(log).
+    gap = np.log(mean) - np.log(vals).mean(axis=1)
+    fitted = (var >= 1e-30) & (np.ptp(vals, axis=1) > 0.0) & (gap > 0.0)
+    mean = mean[fitted]
+    shape, scale = _gamma_shape_mle(mean, gap[fitted], mean * mean / var[fitted])
+    return shape, scale, fitted
+
+
 def fit_gamma_null(values) -> NullFit:
     """Maximum-likelihood Gamma fit of the null statistics.
 
     Values are clamped below at 1e-12; the shape starts at the
     method-of-moments value and is refined by Newton steps on the profile
     log-likelihood until the update is below 1e-10 (at most 100 steps).
+    Degenerate values (see _fit_rows) raise DegenerateNullError.
     """
     vals = np.maximum(np.asarray(values, dtype=np.float64), FIT_FLOOR)
     if vals.size < 2:
         raise ValueError("need at least two values")
-    m = float(vals.mean())
-    v = float(vals.var())
-    if v < 1e-30 or np.ptp(vals) <= 0.0:
-        raise DegenerateNullError("all null statistics identical")
-    # Profile likelihood: log(k) - digamma(k) = log(mean) - mean(log).
-    s = math.log(m) - float(np.mean(np.log(vals)))
-    if s <= 0:
-        raise DegenerateNullError("non-positive log-moment gap")
-    shape, scale = _gamma_shape_mle(np.array([m]), np.array([s]), [m * m / v])
+    shape, scale, fitted = _fit_rows(vals[None])
+    if not fitted[0]:
+        raise DegenerateNullError("null statistics identical or with a non-positive log-moment gap")
     return NullFit(shape=float(shape[0]), scale=float(scale[0]))
-
-
-def _gamma_log_sf(fit: NullFit, x: float) -> float:
-    """log of the Gamma upper tail, with an asymptotic fallback at underflow."""
-    from scipy import special
-
-    y = x / fit.scale
-    sf = float(special.gammaincc(fit.shape, y))
-    if sf > 0.0:
-        return math.log(sf)
-    # First-order tail expansion: sf ~ y^(k-1) e^-y / Gamma(k) * (1 + (k-1)/y).
-    k = fit.shape
-    return (k - 1.0) * math.log(y) - y - float(special.gammaln(k)) + math.log1p(max(k - 1.0, 0.0) / y)
 
 
 def order_statistic_pvalue(fit: NullFit, r_max: float, num_classes: int, num_excluded: int) -> PValue:
@@ -299,24 +404,21 @@ def order_statistic_pvalue(fit: NullFit, r_max: float, num_classes: int, num_exc
 
     Values below 1e-323 are flagged as underflow and reported through log_pv.
     """
-    from scipy import special
-
     m = num_classes - num_excluded
     if m < 1:
         raise ValueError("need at least one retained statistic")
     if r_max <= 0:
         return PValue(pv=1.0, log_pv=0.0)
-    y = r_max / fit.scale
-    sf = float(special.gammaincc(fit.shape, y))
+    log_sf = float(_log_gammaincc(fit.shape, r_max / fit.scale))
+    sf = math.exp(log_sf)
     if sf >= 1.0:
         return PValue(pv=1.0, log_pv=0.0)
     log_g = math.log1p(-sf)  # log G(r_max), accurate when G is near 1
     pv = -math.expm1(m * log_g)
     if pv >= UNDERFLOW_LIMIT:
         return PValue(pv=pv, log_pv=math.log(pv))
-    # 1 - G^m ~ m * sf for tiny sf; use the tail log for the displayable value.
-    log_pv = math.log(m) + _gamma_log_sf(fit, r_max)
-    return PValue(pv=pv, log_pv=log_pv)
+    # 1 - G^m ~ m * sf for tiny sf; the tail's log gives the displayable value.
+    return PValue(pv=pv, log_pv=math.log(m) + log_sf)
 
 
 def calibrated_pvalue(fit: NullFit, r_max: float, num_null: int, num_top: int) -> float:
@@ -330,11 +432,13 @@ def calibrated_pvalue(fit: NullFit, r_max: float, num_null: int, num_top: int) -
     the remaining num_null and tests the largest against that refit, exactly
     as detect does with the observed statistics. For a fixed num_null the
     order-statistic p-value falls as the Gamma tail at r_max falls, so ranks
-    are taken on that tail. Returns (1 + #{simulated <= observed}) /
-    (CALIBRATION_DRAWS + 1), so its smallest value is 1 / 2001.
+    are taken on that tail. A repetition whose simulated null is degenerate
+    by the rule fit_gamma_null applies (_fit_rows; it happens at small
+    shapes, where draws clamp to FIT_FLOOR) has no refit, as detect would be
+    inconclusive: it is dropped from both the count and the denominator.
+    Returns (1 + #{simulated <= observed}) / (#refitted + 1): 1 / 2001 at
+    the smallest when every repetition refits, and 1.0 when none does.
     """
-    from scipy import special
-
     draws = CALIBRATION_DRAWS
     rng = np.random.default_rng(0xCA11B)
     x = np.maximum(rng.gamma(fit.shape, fit.scale, size=(draws, num_null + num_top)), FIT_FLOOR)
@@ -345,13 +449,10 @@ def calibrated_pvalue(fit: NullFit, r_max: float, num_null: int, num_top: int) -
     # held out, num_top >= 1); the draws are exchangeable, so the first
     # num_null columns are then a random choice among the non-maximal draws.
     x[rows, top_idx] = x[:, -1]
-    null = x[:, :num_null]
-    mean = null.mean(axis=1)
-    gap = np.log(mean) - np.log(null).mean(axis=1)
-    shape, scale = _gamma_shape_mle(mean, gap, mean * mean / null.var(axis=1))
-    sim_tail = special.gammaincc(shape, top / scale)
-    obs_tail = special.gammaincc(fit.shape, r_max / fit.scale)
-    return float((1 + np.count_nonzero(sim_tail <= obs_tail)) / (draws + 1))
+    shape, scale, fitted = _fit_rows(x[:, :num_null])
+    sim_tail = _log_gammaincc(shape, top[fitted] / scale)
+    obs_tail = _log_gammaincc(fit.shape, r_max / fit.scale)
+    return float((1 + np.count_nonzero(sim_tail <= obs_tail)) / (np.count_nonzero(fitted) + 1))
 
 
 def detect(stats, phi: float) -> DetectionReport:

@@ -555,31 +555,36 @@ class TestCliPipeline:
         assert main(argv) == code
         assert message in capsys.readouterr().err
 
-    def test_only_detect_loads_scipy(self, tmp_path):
-        # scipy.special costs about 25 MB and a quarter of a second to import,
-        # and only detect's Gamma null uses it.
+    def test_no_stage_loads_scipy(self, tmp_path):
+        # The runtime needs numpy alone; importing scipy.special would cost
+        # about 25 MB and a quarter of a second. Detect must fit its null
+        # (exit clean or attacked, not inconclusive) to reach the Gamma code.
         cfg = tiny_config(tmp_path / "run")
         cfg.estimation.tau_max = 20
         cfg_path = tmp_path / "run.cfg"
         save_config(cfg, cfg_path)
         run = ["--config", str(cfg_path)]
-        weights = str(tmp_path / "run" / "clean.weights")
-        stages = [["gen-data", *run], ["train", *run], ["attack", *run, "--weights", weights]]
-        detect_argv = ["detect", *run, "--weights", weights]
+        out = tmp_path / "run"
+        weights = str(out / "clean.weights")
+        stages = [
+            ["gen-data", *run],
+            ["train", *run],
+            ["attack", *run, "--weights", weights],
+            ["detect", *run, "--weights", weights],
+            ["report", "--stats", str(out / "detect-statistics.csv"), "--report", str(out / "detect-report.json"),
+             "--out", str(tmp_path / "detect.svg")],
+        ]
         code = (
             "import json, sys; from pcbdet.cli import main\n"
             f"codes = [main(argv) for argv in {stages!r}]\n"
-            "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            f"codes.append(main({detect_argv!r}))\n"
-            "print(json.dumps([codes, before, 'scipy.special' in sys.modules]))\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True,
-                             timeout=300)
-        assert out.returncode == 0, out.stderr
-        codes, before, after = json.loads(out.stdout.splitlines()[-1])
-        assert codes[:3] == [0, 0, 0] and codes[3] in (EXIT_CLEAN, EXIT_ATTACKED), codes
-        assert before == []
-        assert after
+        proc = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes[:3] == [0, 0, 0] and codes[3] in (EXIT_CLEAN, EXIT_ATTACKED) and codes[4] == 0, codes
+        assert loaded == []
 
     def test_init_config(self, tmp_path):
         path = tmp_path / "default.cfg"

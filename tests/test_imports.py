@@ -1,5 +1,6 @@
-"""Every name a module under src/pcbdet or tests/ imports is used there or
-re-exported, every name a package module exports in __all__ is defined, and
+"""Every module under src/pcbdet imports only the standard library, numpy
+and pcbdet itself. Every name a module under src/pcbdet or tests/ imports is
+used there or re-exported, every name a package module exports in __all__ is defined, and
 every module-level function is referenced somewhere in the package: a private
 one always, a public one unless UNCALLED_API names it. Likewise every
 dataclass field and property is read by package code unless UNREAD_FIELDS
@@ -7,6 +8,7 @@ names it."""
 
 import ast
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -45,6 +47,32 @@ def test_checker_finds_unused_names():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+RUNTIME_PACKAGES = set(sys.stdlib_module_names) | {"numpy", "pcbdet"}
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level packages that a module imports, anywhere in its code, from
+    outside RUNTIME_PACKAGES; a relative import is pcbdet's own."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - RUNTIME_PACKAGES)
+
+
+def test_checker_finds_foreign_imports():
+    source = ("import os.path\nimport numpy as np\nfrom . import geometry\nfrom pcbdet.config import SECTIONS\n"
+              "def f():\n    from scipy import special\n    import yaml\n")
+    assert foreign_imports(source) == ["scipy", "yaml"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_needs_numpy_alone(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def stale_exports(module) -> list:

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from pcbdet.inference import (
     CALIBRATION_DRAWS,
+    FIT_FLOOR,
     ClassStatistics,
     DegenerateNullError,
     NullFit,
+    _digamma_trigamma,
+    _fit_rows,
+    _log_gammaincc,
+    calibrated_pvalue,
     combined_statistic,
     compute_r_s,
     compute_w,
@@ -133,10 +141,61 @@ class TestGammaFit:
         with pytest.raises(DegenerateNullError):
             fit_gamma_null(np.full(6, 3.3))
 
+    def test_degenerate_rows_are_not_fitted(self):
+        vals = np.array([[FIT_FLOOR] * 4, [1.0, 2.0, 3.0, 4.0], [2.0] * 4, [1.0, 1.0 + 1e-15, 1.0, 1.0]])
+        shape, scale, fitted = _fit_rows(vals)
+        assert fitted.tolist() == [False, True, False, False]
+        assert NullFit(shape=shape[0], scale=scale[0]) == fit_gamma_null(vals[1])
+
     def test_clamps_zeros(self):
         fit = fit_gamma_null(np.array([0.0, 0.0, 1.0, 2.0, 0.5]))
         assert fit.shape > 0 and fit.scale > 0
         assert fit == fit_gamma_null(np.array([1e-12, 1e-12, 1.0, 2.0, 0.5]))
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+class TestSpecialFunctions:
+    # scipy.special is the oracle; the package computes these with numpy.
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(log_uniform(-4, 6), min_size=1, max_size=40))
+    def test_digamma_trigamma_match_scipy(self, xs):
+        x = np.array(xs)
+        psi, dpsi = _digamma_trigamma(x)
+        for got, ref in ((psi, special.digamma(x)), (dpsi, special.polygamma(1, x))):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-14)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(log_uniform(-2, 4), log_uniform(-3, 2)), min_size=1, max_size=40))
+    def test_upper_incomplete_gamma_matches_scipy(self, pairs):
+        # Calibration refits reach shapes of about 5000.
+        a, ratio = np.array(pairs).T
+        x = a * ratio
+        ref = special.gammaincc(a, x)
+        kept = ref >= 1e-300
+        np.testing.assert_allclose(np.exp(_log_gammaincc(a, x)[kept]), ref[kept], rtol=1e-10, atol=0.0)
+
+    def test_closed_forms(self):
+        euler = 0.5772156649015329
+        psi, dpsi = _digamma_trigamma(np.array([1.0, 0.5]))
+        np.testing.assert_allclose(psi, [-euler, -euler - 2.0 * math.log(2.0)], rtol=1e-14)
+        np.testing.assert_allclose(dpsi, [math.pi**2 / 6.0, math.pi**2 / 2.0], rtol=1e-14)
+        x = np.geomspace(1e-3, 700.0, 80)
+        np.testing.assert_allclose(_log_gammaincc(1.0, x), -x, rtol=1e-14)
+        erfc = [math.erfc(math.sqrt(v)) for v in x]
+        np.testing.assert_allclose(np.exp(_log_gammaincc(0.5, x)), erfc, rtol=1e-12)
+        assert np.all(_log_gammaincc(np.array([0.01, 1.0, 5e3]), 0.0) == 0.0)
+
+    @pytest.mark.parametrize("y", [800.0, 1500.0])
+    def test_log_tail_where_the_tail_underflows(self, y):
+        assert special.gammaincc(1.0, y) == 0.0
+        assert float(_log_gammaincc(1.0, y)) == pytest.approx(-y, rel=1e-14)
+        res = order_statistic_pvalue(NullFit(shape=1.0, scale=2.0), 2.0 * y, num_classes=10, num_excluded=1)
+        assert res.underflow
+        assert res.log_pv == pytest.approx(math.log(9) - y, rel=1e-14)
 
 
 class TestOrderStatisticPValue:
@@ -170,6 +229,17 @@ class TestOrderStatisticPValue:
         pvs = [order_statistic_pvalue(fit, r, 8, 1).pv for r in rs]
         assert all(a >= b for a, b in zip(pvs, pvs[1:]))
         assert all(0.0 <= p <= 1.0 for p in pvs)
+
+    @pytest.mark.parametrize("shape", [0.05, 0.1])
+    def test_degenerate_simulated_nulls_are_dropped(self, shape):
+        # At small shapes some simulated nulls clamp every draw to FIT_FLOOR.
+        # They have no refit and leave the count and the denominator, without
+        # a divide-by-zero or invalid-value warning (warnings are errors here).
+        assert 0.0 < calibrated_pvalue(NullFit(shape=shape, scale=1.0), 1.0, 4, 1) <= 1.0
+
+    def test_calibration_with_no_refit_left(self):
+        # Hardly any draw of a shape-1e-5 Gamma exceeds FIT_FLOOR.
+        assert calibrated_pvalue(NullFit(shape=1e-5, scale=1.0), 1.0, 4, 1) == 1.0
 
     def test_calibration_uniform(self):
         # Statistics drawn from the fitted null itself make G(max)^m uniform.
