@@ -25,6 +25,7 @@ __all__ = [
     "TrainConfig",
     "init_weights",
     "forward_logits",
+    "head_logits",
     "predict",
     "pool_vector",
     "insertion_logits",
@@ -210,7 +211,13 @@ def _head(w: ClassifierWeights, pooled: np.ndarray):
 
 def forward_logits(w: ClassifierWeights, X) -> np.ndarray:
     """Pre-softmax logits h(k|X) for a single cloud."""
-    return _head(w, pool_vector(w, X))[1]
+    return head_logits(w, pool_vector(w, X))
+
+
+def head_logits(w: ClassifierWeights, pooled: np.ndarray) -> np.ndarray:
+    """Logits from pooled features (..., 128), with row-stable arithmetic:
+    a cloud's pool_vector gives its forward_logits bit for bit."""
+    return _head(w, pooled)[1]
 
 
 def predict(w: ClassifierWeights, X) -> int:

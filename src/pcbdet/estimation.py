@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from pcbdet.classifier import (
+    POINT_DIMS,
     ClassifierWeights,
     insertion_gradient,
     insertion_logits,
     margin_cotangent,
     pool_vector,
 )
-from pcbdet.geometry import as_cloud, as_point, cloud_distances
+from pcbdet.geometry import DistanceState, as_cloud, as_point
 
 __all__ = [
     "EstimationParams",
@@ -82,14 +83,18 @@ class GroupEstimate:
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """One trigger search: clouds, the putative source class and a seed.
+    """One trigger search: clouds, their pools, the putative source class
+    and a seed.
 
+    pooled is pool_vector of each cloud, stacked (M, 128): the search
+    evaluates the network from these rows and never pools a cloud itself.
     target None makes it a group search (flip the clouds away from source);
     a target makes it a sample-wise search (drive the cloud to target).
     trace_path, when set, receives the per-iteration trace CSV.
     """
 
     clouds: list
+    pooled: np.ndarray
     source: int
     seed: int
     target: int | None = None
@@ -117,13 +122,22 @@ def _descent(w, problems, params):
     target, feasibility means the (single) cloud is classified as target.
 
     The loop's logits are exact (see insertion_logits), so a feasible
-    iterate needs no re-check. Returns one (best_center, preds) per problem,
-    preds being the prediction on each cloud with best_center inserted, or
-    (None, None) when no iterate was feasible.
+    iterate needs no re-check.
+
+    Per descent, not per iteration: the clouds' pools come from the
+    problems, the clouds' distance constants are built once (DistanceState),
+    and a sample-wise stack's margin cotangent, which depends on the logits'
+    shape alone, is computed once. Per iteration: the network's logits and
+    gradient at the new points, a group stack's cotangent, and one query of
+    the distance state.
+
+    Returns one (best_center, preds) per problem, preds being the
+    prediction on each cloud with best_center inserted, or (None, None)
+    when no iterate was feasible.
     """
-    P, R = len(problems), params.n_restarts
-    clouds = [np.stack([as_cloud(pr.clouds[m]) for pr in problems]) for m in range(len(problems[0].clouds))]
-    pooled = np.stack([[pool_vector(w, X) for X in pr.clouds] for pr in problems])[:, None]  # (P, 1, M, 128)
+    P, R, M = len(problems), params.n_restarts, len(problems[0].clouds)
+    distances = DistanceState(np.stack([as_cloud(pr.clouds[m]) for pr in problems]) for m in range(M))
+    pooled = np.stack([pr.pooled for pr in problems])[:, None]  # (P, 1, M, 128)
     # Class indices shaped to broadcast against the (P, R, M) prediction axes.
     sources = np.array([pr.source for pr in problems])[:, None, None]
     targets = None if problems[0].target is None else np.array([pr.target for pr in problems])[:, None, None]
@@ -132,10 +146,11 @@ def _descent(w, problems, params):
     lam = np.full((P, R), params.lambda0)
     best_sum = np.full((P, R), np.inf)
     best_c = np.zeros((P, R, 3))
-    best_preds = np.zeros((P, R, len(clouds)), dtype=np.intp)
+    best_preds = np.zeros((P, R, M), dtype=np.intp)
 
     logits, cache = insertion_logits(w, pooled, c)  # (P, R, M, K)
-    _, units = cloud_distances(c, clouds)
+    cotangent = margin_cotangent(logits, sources, targets)
+    _, units = distances.query(c)
 
     with ExitStack() as files:
         traces = [
@@ -146,7 +161,7 @@ def _descent(w, problems, params):
         for _, fh in traces:
             fh.write(TRACE_HEADER + "\n")
         for tau in range(params.tau_max):
-            g_net = insertion_gradient(w, cache, margin_cotangent(logits, sources, targets))  # (P, R, 3)
+            g_net = insertion_gradient(w, cache, cotangent)  # (P, R, 3)
             grad = g_net + lam[..., None] * units.sum(axis=-2)
             # The step is delta * grad, its length capped at delta: near a
             # learned trigger the margin gradient is steep enough that a
@@ -155,7 +170,9 @@ def _descent(w, problems, params):
             c = c - params.delta * grad / np.maximum(norm, 1.0)[..., None]
 
             logits, cache = insertion_logits(w, pooled, c)
-            dists, units = cloud_distances(c, clouds)
+            if targets is None:
+                cotangent = margin_cotangent(logits, sources, None)
+            dists, units = distances.query(c)
             preds = np.argmax(logits, axis=-1)  # (P, R, M)
             rho = _flip_rate(preds, sources, targets)  # (P, R)
             feasible = rho >= params.pi
@@ -167,7 +184,7 @@ def _descent(w, problems, params):
             best_preds[improved] = preds[improved]
 
             if traces:
-                margins = (margin_cotangent(logits, sources, targets) * logits).sum(axis=-1)  # (P, R, M)
+                margins = (cotangent * logits).sum(axis=-1)  # (P, R, M)
                 loss = margins.sum(axis=-1) + lam * total
                 for p, fh in traces:
                     for r in range(R):
@@ -217,6 +234,8 @@ def _solve(w, problems, params):
 def _check_problem(w: ClassifierWeights, pr: SearchProblem) -> None:
     if len(pr.clouds) < 1:
         raise ValueError("need at least one cloud")
+    if np.shape(pr.pooled) != (len(pr.clouds), POINT_DIMS[-1]):
+        raise ValueError(f"pooled must hold one {POINT_DIMS[-1]}-channel pool per cloud")
     if not 0 <= pr.source < w.num_classes:
         raise ValueError("source class out of range")
 

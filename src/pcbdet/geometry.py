@@ -19,6 +19,7 @@ __all__ = [
     "as_point",
     "as_cloud",
     "cloud_distances",
+    "DistanceState",
     "point_to_cloud_distance",
     "normalize_cloud",
     "ball_points",
@@ -117,33 +118,62 @@ def cloud_distances(points: np.ndarray, clouds) -> tuple[np.ndarray, np.ndarray]
     score that overflows or is NaN) run the full scan. Every row then takes
     nearest = c - x_idx and d = sqrt(einsum(nearest, nearest)), the same
     differences summed by the same einsum as the full scan's d2 at idx.
+
+    Per cloud, |x_j|^2, -2 x^T and max_j |x_j| do not depend on the points:
+    this call is the one-shot use of DistanceState, which computes them once
+    for its clouds. Per query there remain the product, the scores' argmin
+    and screen, and the exact pick; a descent builds one DistanceState and
+    queries it at every iteration.
     """
-    lead = np.broadcast_shapes(points.shape[:-1], *(X.shape[:-2] + (1,) for X in clouds))
-    dists = np.empty(lead + (len(clouds),))
-    units = np.zeros(lead + (len(clouds), 3))
-    f64 = np.finfo(np.float64)
-    c_norm = np.sqrt(np.einsum("...d,...d->...", points, points))
-    for m, X in enumerate(clouds):
-        # A score that overflows fails the comparison below; no warning.
+    return DistanceState(clouds).query(points)
+
+
+class DistanceState:
+    """The query-independent part of cloud_distances for fixed clouds.
+
+    For each cloud (..., n, 3) of clouds it holds its squared norms
+    sq_norms (..., n), the C-contiguous neg2_xt = -2 x^T (..., 3, n) of the
+    screen's product, and radius = max_j |x_j| (...). query(points) is
+    cloud_distances(points, clouds) bit for bit and leaves these arrays
+    unchanged, so one state serves every iteration of a descent.
+    """
+
+    def __init__(self, clouds):
+        self.clouds = list(clouds)
+        # A score term that overflows fails the screen; no warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            xx = np.einsum("...nd,...nd->...n", X, X)
-            s = np.matmul(points, -2.0 * X.swapaxes(-1, -2))  # (..., R, n)
-            s += xx[..., None, :]
-            idx = np.argmin(s, axis=-1)[..., None]
-            s_min = np.take_along_axis(s, idx, axis=-1)[..., 0]
-            np.put_along_axis(s, idx, np.inf, axis=-1)
-            tol = 8 * f64.eps * (2 * (c_norm + np.sqrt(xx.max(axis=-1))[..., None])) ** 2 + f64.tiny
-            unsure = ~(s.min(axis=-1) > s_min + tol)
-        if unsure.any():
-            rows = np.broadcast_to(X[..., None, :, :], lead + X.shape[-2:])[unsure]
-            diff = np.broadcast_to(points, lead + (3,))[unsure][..., None, :] - rows
-            idx[unsure] = np.argmin(np.einsum("...nd,...nd->...n", diff, diff), axis=-1)[:, None]
-        X_idx = np.take_along_axis(X[(None,) * (len(lead) + 1 - X.ndim)], idx, axis=-2)
-        nearest = points - X_idx
-        d = np.sqrt(np.einsum("...d,...d->...", nearest, nearest))
-        dists[..., m] = d
-        np.divide(nearest, d[..., None], out=units[..., m, :], where=(d > COINCIDENT_EPS)[..., None])
-    return dists, units
+            self.sq_norms = [np.einsum("...nd,...nd->...n", X, X) for X in self.clouds]
+            self.neg2_xt = [np.ascontiguousarray(-2.0 * X.swapaxes(-1, -2)) for X in self.clouds]
+            self.radius = [np.sqrt(xx.max(axis=-1)) for xx in self.sq_norms]
+
+    def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dists, units) of points against the clouds: see cloud_distances."""
+        clouds = self.clouds
+        lead = np.broadcast_shapes(points.shape[:-1], *(X.shape[:-2] + (1,) for X in clouds))
+        dists = np.empty(lead + (len(clouds),))
+        units = np.zeros(lead + (len(clouds), 3))
+        f64 = np.finfo(np.float64)
+        c_norm = np.sqrt(np.einsum("...d,...d->...", points, points))
+        for m, X in enumerate(clouds):
+            # A score that overflows fails the comparison below; no warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = np.matmul(points, self.neg2_xt[m])  # (..., R, n)
+                s += self.sq_norms[m][..., None, :]
+                idx = np.argmin(s, axis=-1)[..., None]
+                s_min = np.take_along_axis(s, idx, axis=-1)[..., 0]
+                np.put_along_axis(s, idx, np.inf, axis=-1)
+                tol = 8 * f64.eps * (2 * (c_norm + self.radius[m][..., None])) ** 2 + f64.tiny
+                unsure = ~(s.min(axis=-1) > s_min + tol)
+            if unsure.any():
+                rows = np.broadcast_to(X[..., None, :, :], lead + X.shape[-2:])[unsure]
+                diff = np.broadcast_to(points, lead + (3,))[unsure][..., None, :] - rows
+                idx[unsure] = np.argmin(np.einsum("...nd,...nd->...n", diff, diff), axis=-1)[:, None]
+            X_idx = np.take_along_axis(X[(None,) * (len(lead) + 1 - X.ndim)], idx, axis=-2)
+            nearest = points - X_idx
+            d = np.sqrt(np.einsum("...d,...d->...", nearest, nearest))
+            dists[..., m] = d
+            np.divide(nearest, d[..., None], out=units[..., m, :], where=(d > COINCIDENT_EPS)[..., None])
+        return dists, units
 
 
 def point_to_cloud_distance(c, X) -> float:

@@ -345,11 +345,18 @@ def _log_gammaincc(a, x):
 def _gamma_shape_mle(mean, gap, start):
     """Newton steps on log(k) - digamma(k) = gap, elementwise.
 
-    Each element stops once its update is below 1e-10 (at most 100 steps); a
-    step that would leave k <= 0 halves k instead.
+    Each element stops once its update |k_new - k| is below 1e-10, or once
+    its update is no smaller than its previous one and below 1e-6 k (at
+    most 100 steps); a step that would leave k <= 0 halves k instead. At
+    large k, log(k) - digamma(k) ~ 1/(2k) is a difference of nearly equal
+    numbers and the update stalls at rounding level above 1e-10; the second
+    rule ends it there. While Newton converges each update is smaller than
+    the last, so the second rule does not fire; an element whose update
+    stalls and dips below 1e-10 only later, by rounding, stops at the stall.
     """
     shape = np.array(start, dtype=np.float64)
     active = np.ones(shape.shape, dtype=bool)
+    last = np.full(shape.shape, np.inf)
     for _ in range(100):
         k = shape[active]
         psi, dpsi = _digamma_trigamma(k)
@@ -358,7 +365,10 @@ def _gamma_shape_mle(mean, gap, start):
         new = k - f / fp
         new = np.where(new <= 0, k / 2.0, new)
         shape[active] = new
-        active[active] = np.abs(new - k) >= 1e-10
+        update = np.abs(new - k)
+        stalled = (update >= last[active]) & (update < 1e-6 * k)
+        last[active] = update
+        active[active] = (update >= 1e-10) & ~stalled
         if not active.any():
             break
     return shape, mean / shape
@@ -387,7 +397,9 @@ def fit_gamma_null(values) -> NullFit:
 
     Values are clamped below at 1e-12; the shape starts at the
     method-of-moments value and is refined by Newton steps on the profile
-    log-likelihood until the update is below 1e-10 (at most 100 steps).
+    log-likelihood until the update is below 1e-10, or until it no longer
+    shrinks and is below 1e-6 of the shape (at most 100 steps; see
+    _gamma_shape_mle).
     Degenerate values (see _fit_rows) raise DegenerateNullError.
     """
     vals = np.maximum(np.asarray(values, dtype=np.float64), FIT_FLOOR)

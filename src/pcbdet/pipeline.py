@@ -25,8 +25,9 @@ from pcbdet.attack import (
 from pcbdet.classifier import (
     ClassifierWeights,
     accuracy,
+    head_logits,
     load_weights,
-    predict,
+    pool_vector,
     save_weights,
     train,
 )
@@ -195,32 +196,39 @@ def attack_stage(cfg: RunConfig, out_dir, clean_weights) -> dict:
 
 
 def build_detection_sets(w: ClassifierWeights, clean: Dataset, reserve: Dataset, target_size: int):
-    """Per-class clean clouds the classifier gets right.
+    """Per-class clean clouds the classifier gets right, and their pools.
 
     Each class takes the first target_size correctly classified clouds of
     its clean clouds followed by its reserve clouds, in split order; no cloud
     past the fill is classified. A class may proceed with fewer than
     target_size but at least MIN_DETECTION_CLOUDS, else detection aborts.
+    A cloud is classified from its pool_vector, as predict does, and the
+    pools of the picked clouds are kept: returns (sets, pools), sets[k] the
+    clouds of class k and pools[k] their pools stacked (M, 128), which the
+    searches take as they are.
     """
-    sets = {}
+    sets, pools = {}, {}
     for k in range(clean.num_classes):
         candidates = chain(clean.clouds_of_class(k), reserve.clouds_of_class(k))
-        picked = list(islice((X for X in candidates if predict(w, X) == k), target_size))
+        pooled = ((X, pool_vector(w, X)) for X in candidates)
+        picked = list(islice(((X, p) for X, p in pooled if np.argmax(head_logits(w, p)) == k), target_size))
         if len(picked) < MIN_DETECTION_CLOUDS:
             raise DetectionInputError(
                 f"class {k}: only {len(picked)} correctly classified clean clouds "
                 f"(minimum {MIN_DETECTION_CLOUDS}); reserve pool exhausted"
             )
-        sets[k] = picked
-    return sets
+        sets[k] = [X for X, _ in picked]
+        pools[k] = np.stack([p for _, p in picked])
+    return sets, pools
 
 
-def assemble_statistics(w, detection_sets, params: EstimationParams, seed: int, trace_dir=None):
+def assemble_statistics(w, detection_sets, pools, params: EstimationParams, seed: int, trace_dir=None):
     """Group + sample-wise estimation for every class, then the statistics.
 
-    The group searches of all classes run as one stacked call, and the
-    sample-wise searches of all clean clouds of the non-failed classes as a
-    second one; each search's result is the one it gets alone.
+    detection_sets and pools are those of build_detection_sets. The group
+    searches of all classes run as one stacked call, and the sample-wise
+    searches of all clean clouds of the non-failed classes as a second one;
+    each search's result is the one it gets alone.
 
     Failed group estimates keep the r = 0 convention; their z plays no part
     in the similarity normalization.
@@ -231,6 +239,7 @@ def assemble_statistics(w, detection_sets, params: EstimationParams, seed: int, 
         [
             SearchProblem(
                 detection_sets[s],
+                pools[s],
                 s,
                 seed=seed * 1000 + s,
                 trace_path=None if trace_dir is None else Path(trace_dir) / f"group-{s}.csv",
@@ -241,7 +250,7 @@ def assemble_statistics(w, detection_sets, params: EstimationParams, seed: int, 
     )
     live = [s for s in range(K) if not groups[s].failed]
     samples = [
-        SearchProblem([X], s, seed=seed * 1_000_000 + s * 1000 + i, target=groups[s].target)
+        SearchProblem([X], pools[s][i : i + 1], s, seed=seed * 1_000_000 + s * 1000 + i, target=groups[s].target)
         for s in live
         for i, X in enumerate(detection_sets[s])
     ]
@@ -280,8 +289,8 @@ def detect_stage(cfg: RunConfig, weights_path, out_dir, prefix: str) -> Detectio
     w = _load_model(cfg, weights_path)
     clean = _load_split(out, "clean", cfg.data.classes)
     reserve = _load_split(out, "reserve", cfg.data.classes)
-    sets = build_detection_sets(w, clean, reserve, cfg.data.clean_per_class)
-    stats = assemble_statistics(w, sets, cfg.estimation, cfg.detect_seed)
+    sets, pools = build_detection_sets(w, clean, reserve, cfg.data.clean_per_class)
+    stats = assemble_statistics(w, sets, pools, cfg.estimation, cfg.detect_seed)
     report = detect(stats, phi=cfg.phi)
     write_statistics_csv(report, out / f"{prefix}-statistics.csv")
     write_report_json(report, out / f"{prefix}-report.json")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcbdet import pipeline
+from pcbdet import estimation, pipeline
 from pcbdet.attack import AttackConfig
 from pcbdet.cli import EXIT_ATTACKED, EXIT_CLEAN, main
 from pcbdet.config import SECTIONS, DataConfig, RunConfig, default_config, load_config, save_config
@@ -324,6 +325,29 @@ class TestReportArtifacts:
         assert 'fill="#cc5544"' in svg.read_text()
 
 
+# SHA-256 of the mini run's stage outputs: its splits, manifest, weights,
+# metrics and pattern, and detect's three outputs on each weights file (prefix
+# golden-<weights>). See TestCliPipeline.test_stage_outputs_keep_their_bytes.
+GOLDEN_DIGESTS = {
+    "train.txt": "05ca74aaf0991e8740150ba8b5afd72d19acfd4f248e15c7e599af1317230453",
+    "test.txt": "c6b3efc1e8ca8a604a3cabfd017aa1b5a36425a80fa91ef62b4827cabbaed6c5",
+    "clean.txt": "ba1d4c09430dc292a8e06a730198e3ecc98f1b583e2ec0f6cfcbe5da3f6828f1",
+    "reserve.txt": "7e66844f2408fe3e1219684915856144f6185bf3d7956d22d211b611a69b55ff",
+    "manifest.json": "9dce8e927c0ea821e35cb275adb467010bb66177e652cabe0f781e46b4c5b051",
+    "clean.weights": "dd7ac1e6c54d2bd4cb3e628ab2a79eb2dea9c774b411d822d904df1eb53fd9e5",
+    "train-metrics.json": "e6d616b273787e3114619f86e221ff720b29bf50cd9730c4a58f1c06c7e19a23",
+    "pattern.txt": "015929a4bf70d3f36dd4e89acb1f35b8d6d78d341b6312dd1c89b1cdf3453e66",
+    "poisoned.weights": "1a2e048b5bc551fa171287c4869d5785bcc3c49866f2d6d0fe5ca0cb47819458",
+    "attack-metrics.json": "abf35bc70381ab86b53ebf9d17e3a98b8993686dfdb78a9a61890ec1692c2358",
+    "golden-clean-statistics.csv": "24606a311e094e7d8a920c31beeed37e91bb0f2a3b04835f4cd9662010307f02",
+    "golden-clean-report.json": "a915193dbcfb2007706d58d7df81e2771868a2748fed60acccd5c9311a9cd372",
+    "golden-clean-histogram.svg": "2cc8bbd10076bf8ffebd6166291ebc2ab82e2010fe32da58a0133b2e4095f99f",
+    "golden-poisoned-statistics.csv": "febbbde1136ceb65e2052b721bda7f89942edd1267357c27661b74173cb5a702",
+    "golden-poisoned-report.json": "b2d734b78437e93dc19137ae2008f9a55a8d0481e99163d6e4cbed502702344f",
+    "golden-poisoned-histogram.svg": "5af42e8785031b0d445eecd05adf9c85d6358ae9e635a68fb62cda74ddb74715",
+}
+
+
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     """A complete tiny pipeline run exercising every CLI stage."""
@@ -384,6 +408,49 @@ class TestCliPipeline:
               "--prefix", "db"])
         for kind in ("statistics.csv", "report.json", "histogram.svg"):
             assert (out / f"da-{kind}").read_bytes() == (out / f"db-{kind}").read_bytes()
+
+    def test_stage_outputs_keep_their_bytes(self, mini_run):
+        """Every stage output of the mini run has the bytes recorded in
+        GOLDEN_DIGESTS, so a change that moves any output bit fails here.
+
+        The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
+        (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels) on x86-64. Another
+        numpy or BLAS may round a product differently and fail this test
+        without any change to the program. A mismatch names each file that
+        differs and its new digest.
+        """
+        cfg_path, out = mini_run
+        for weights in ("clean", "poisoned"):
+            main(["detect", "--config", str(cfg_path), "--weights", str(out / f"{weights}.weights"),
+                  "--prefix", f"golden-{weights}"])
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
+        differ = [f"{name}: {digest}" for name, digest in got.items() if digest != GOLDEN_DIGESTS[name]]
+        assert not differ, "stage outputs with new bytes:\n" + "\n".join(differ)
+
+    def test_detect_pools_each_cloud_once(self, mini_run, monkeypatch):
+        # Detect pools each cloud it classifies once, keeps the pools of the
+        # clouds it picks, and neither stacked descent pools a cloud.
+        cfg_path, out = mini_run
+        pooled, classified, searched = [], [], []
+        real_pool_vector, real_head_logits = pipeline.pool_vector, pipeline.head_logits
+
+        def counting_pool_vector(w, X):
+            pooled.append(X)
+            return real_pool_vector(w, X)
+
+        def counting_head_logits(w, p):
+            classified.append(p)
+            return real_head_logits(w, p)
+
+        monkeypatch.setattr(pipeline, "pool_vector", counting_pool_vector)
+        monkeypatch.setattr(pipeline, "head_logits", counting_head_logits)
+        monkeypatch.setattr(estimation, "pool_vector", lambda w, X: searched.append(X))
+        code = main(["detect", "--config", str(cfg_path), "--weights", str(out / "poisoned.weights"),
+                     "--prefix", "dpool"])
+        assert code in (EXIT_CLEAN, EXIT_ATTACKED)
+        assert len(pooled) >= 8 * 5
+        assert len({id(X) for X in pooled}) == len(pooled) == len(classified)
+        assert searched == []
 
     def test_report_rerender(self, mini_run, tmp_path, capsys):
         cfg_path, out = mini_run

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcbdet import estimation
-from pcbdet.classifier import init_weights, predict
+from pcbdet.classifier import init_weights, pool_vector, predict
 from pcbdet.estimation import (
     EstimationParams,
     SearchProblem,
@@ -46,15 +46,19 @@ def cloud_with_max_z(z, n=8, seed=0):
     return X
 
 
+def problem(w, clouds, source, seed, **kwargs):
+    """A SearchProblem over clouds, with their pools."""
+    return SearchProblem(clouds, np.stack([pool_vector(w, X) for X in clouds]), source, seed, **kwargs)
+
+
 def one_group(w, clouds, source, params, seed, trace_path=None):
     """One group search, run as a stack of one."""
-    return estimate_group_location(w, [SearchProblem(clouds, source, seed, trace_path=trace_path)], params)[0]
+    return estimate_group_location(w, [problem(w, clouds, source, seed, trace_path=trace_path)], params)[0]
 
 
 def one_sample(w, X, source, target, params, seed, trace_path=None):
     """One sample-wise search, run as a stack of one."""
-    problem = SearchProblem([X], source, seed, target=target, trace_path=trace_path)
-    return estimate_samplewise_location(w, [problem], params)[0]
+    return estimate_samplewise_location(w, [problem(w, [X], source, seed, target=target, trace_path=trace_path)], params)[0]
 
 
 def read_trace(path):
@@ -174,7 +178,7 @@ class TestAlgorithmMechanics:
         w = init_weights(num_classes=4, seed=0)
         params = EstimationParams(tau_max=25, n_restarts=2)
         problems = [
-            SearchProblem([generate_shape(s, 32, seed=10 * s + i) for i in range(3)], s, seed=s) for s in range(4)
+            problem(w, [generate_shape(s, 32, seed=10 * s + i) for i in range(3)], s, seed=s) for s in range(4)
         ]
         estimates = estimate_group_location(w, problems, params)
         assert sum(not est.failed for est in estimates) >= 2
@@ -187,7 +191,9 @@ class TestAlgorithmMechanics:
             assert est.target == vote_target_class(w, pr.clouds, est.center, pr.source)
 
     def test_pools_each_cloud_once(self, monkeypatch):
-        # rho and the vote come from the descent, which pools each cloud once.
+        # Each cloud is pooled once, where its problem is built: rho and the
+        # vote come from the descent on the problem's pools, and the search
+        # pools no cloud itself.
         calls = []
         real_pool_vector = estimation.pool_vector
 
@@ -200,7 +206,7 @@ class TestAlgorithmMechanics:
         clouds = [generate_shape(1, 16, seed=i) for i in range(4)]
         est = one_group(w, clouds, 0, EstimationParams(tau_max=25, n_restarts=2), seed=5)
         assert not est.failed and est.target == 1
-        assert calls == [16] * len(clouds)
+        assert calls == []
 
     def test_deterministic(self):
         w = constant_logit_weights([0.0, 2.0, 1.0])
@@ -271,7 +277,8 @@ class TestStacking:
 
         def problems(tag):
             return [
-                SearchProblem(
+                problem(
+                    w,
                     [generate_shape(s, 32, seed=10 * s + i) for i in range(3 if s % 2 else 2)],
                     s,
                     seed=s,
@@ -296,7 +303,7 @@ class TestStacking:
         # for odd targets and 48 for even ones: two stacks, some searches fail.
         w = init_weights(num_classes=4, seed=2)
         problems = [
-            SearchProblem([generate_shape(s, 32 if t % 2 else 48, seed=7 * s + t)], s, seed=100 + 4 * s + t, target=t)
+            problem(w, [generate_shape(s, 32 if t % 2 else 48, seed=7 * s + t)], s, seed=100 + 4 * s + t, target=t)
             for s in range(4)
             for t in range(4)
             if t != s
@@ -391,9 +398,15 @@ class TestSampleWise:
         w = constant_logit_weights([0.0, 1.0])
         X = np.zeros((1, 3))
         with pytest.raises(ValueError, match="no target"):
-            estimate_group_location(w, [SearchProblem([X], 0, seed=0, target=1)], EstimationParams(tau_max=1))
+            estimate_group_location(w, [problem(w, [X], 0, seed=0, target=1)], EstimationParams(tau_max=1))
         with pytest.raises(ValueError, match="needs a target"):
-            estimate_samplewise_location(w, [SearchProblem([X], 0, seed=0)], EstimationParams(tau_max=1))
+            estimate_samplewise_location(w, [problem(w, [X], 0, seed=0)], EstimationParams(tau_max=1))
+
+    def test_pools_checked(self):
+        w = constant_logit_weights([0.0, 1.0])
+        X = np.zeros((1, 3))
+        with pytest.raises(ValueError, match="one 128-channel pool per cloud"):
+            estimate_group_location(w, [SearchProblem([X], np.zeros((2, 128)), 0, seed=0)], EstimationParams(tau_max=1))
 
 
 class TestParamsValidation:

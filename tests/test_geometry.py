@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from pcbdet.geometry import (
     Dataset,
+    DistanceState,
     SHAPE_NAMES,
     ball_points,
     cloud_distances,
@@ -228,6 +229,31 @@ class TestScreenedKernel:
     @given(distance_calls())
     def test_bit_equal_to_full_scan(self, call):
         self.assert_bits_equal(*call)
+
+    @settings(max_examples=200, deadline=None)
+    @given(distance_calls(), st.data())
+    def test_state_queried_again_gives_one_shot_bits(self, call, data):
+        # One state, built once as a descent builds it, answers every query
+        # with the bits of a one-shot call, and no query changes its arrays.
+        points, cloud_list = call
+        lead = points.shape[:-2]
+        queries = [points]
+        for _ in range(2):
+            n = data.draw(st.integers(1, 5))
+            pts = data.draw(hnp.arrays(np.float64, lead + (n, 3), elements=tie_coords))
+            queries.append(pts * data.draw(hnp.arrays(np.float64, lead + (n, 1), elements=scales)))
+        queries.append(points)
+        state = DistanceState(cloud_list)
+        arrays = [*state.clouds, *state.sq_norms, *state.neg2_xt, *state.radius]
+        before = [a.tobytes() for a in arrays]
+        assert all(a.flags.c_contiguous for a in state.neg2_xt)
+        for q in queries:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = state.query(q)
+                want = cloud_distances(q, cloud_list)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert [a.tobytes() for a in arrays] == before
 
     def test_screened_and_full_scan_rows_in_one_call(self):
         # Two problems, each with its own 1024-point cloud (a sphere and a

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from pcbdet import inference
 from pcbdet.inference import (
     CALIBRATION_DRAWS,
     FIT_FLOOR,
@@ -151,6 +152,49 @@ class TestGammaFit:
         fit = fit_gamma_null(np.array([0.0, 0.0, 1.0, 2.0, 0.5]))
         assert fit.shape > 0 and fit.scale > 0
         assert fit == fit_gamma_null(np.array([1e-12, 1e-12, 1.0, 2.0, 0.5]))
+
+    @staticmethod
+    def count_newton_steps(monkeypatch):
+        """A list that gets one entry per _digamma_trigamma call, that is
+        per Newton step of every fit."""
+        calls = []
+        real = inference._digamma_trigamma
+
+        def counting(x):
+            calls.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(inference, "_digamma_trigamma", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "fit, r_max, num_null, num_top, pv",
+        [
+            (NullFit(5.0, 0.1), 2.0, 4, 3, 0.14642678660669664),
+            (NullFit(50.0, 0.01), 0.7, 8, 3, 0.29035482258870565),
+        ],
+    )
+    def test_newton_stops_where_its_update_stalls(self, monkeypatch, fit, r_max, num_null, num_top, pv):
+        # A few simulated nulls refit to shapes in the hundreds and more,
+        # where the update stalls at rounding level above 1e-10; they used
+        # to run all 100 steps. pv keeps its bits.
+        calls = self.count_newton_steps(monkeypatch)
+        assert calibrated_pvalue(fit, r_max, num_null, num_top) == pv
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize(
+        "fit, r_max, num_null, num_top, pv, steps",
+        [
+            (NullFit(1.2, 0.3), 1.0, 5, 2, 0.7621189405297352, 16),
+            (NullFit(2.0, 0.2), 0.9, 6, 1, 0.8160919540229885, 13),
+            (NullFit(10.0, 0.05), 1.0, 7, 2, 0.29735132433783107, 8),
+        ],
+    )
+    def test_converging_fits_keep_their_newton_steps(self, monkeypatch, fit, r_max, num_null, num_top, pv, steps):
+        # The step counts these fits had before the stall rule, and their pv.
+        calls = self.count_newton_steps(monkeypatch)
+        assert calibrated_pvalue(fit, r_max, num_null, num_top) == pv
+        assert len(calls) == steps
 
 
 def log_uniform(lo_exp, hi_exp):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcbdet import pipeline
-from pcbdet.classifier import init_weights
+from pcbdet.classifier import init_weights, pool_vector
 from pcbdet.estimation import EstimationParams, SearchProblem, estimate_group_location
 from pcbdet.geometry import Dataset, generate_shape
 from pcbdet.pipeline import (
@@ -22,6 +22,11 @@ def split_of(count, classes=3, n=24, tag=0):
             clouds.append(generate_shape(k, n, seed=tag * 10_000 + k * 100 + i))
             labels.append(k)
     return Dataset(clouds=clouds, labels=np.array(labels), num_classes=classes)
+
+
+def pools_of(w, sets):
+    """The pools build_detection_sets returns with sets."""
+    return {k: np.stack([pool_vector(w, X) for X in clouds]) for k, clouds in sets.items()}
 
 
 class TestDetectionSets:
@@ -49,12 +54,14 @@ class TestDetectionSets:
         # capped at target_size even with more clouds available
         both = Dataset(clouds=clean.clouds, labels=np.zeros(len(clean), dtype=int), num_classes=1)
         w = constant_logit_weights([1.0])
-        sets = build_detection_sets(w, both, split_of(0, classes=1), target_size=6)
+        sets, pools = build_detection_sets(w, both, split_of(0, classes=1), target_size=6)
         assert len(sets[0]) == 6
+        assert pools[0].tobytes() == pools_of(w, sets)[0].tobytes()
 
     def test_clean_then_reserve_in_split_order(self, monkeypatch):
         # Cloud i of class k is filled with [i, k, 0]; the stub classifier
-        # gets the clouds in `wrong` wrong and records what it classifies.
+        # (its pool is that row, and its head reads it) gets the clouds in
+        # `wrong` wrong and records what it classifies.
         def split(ids_by_class):
             clouds = [np.tile([float(i), float(k), 0.0], (4, 1)) for k, ids in enumerate(ids_by_class) for i in ids]
             labels = [k for k, ids in enumerate(ids_by_class) for _ in ids]
@@ -63,21 +70,26 @@ class TestDetectionSets:
         wrong = {1, 4, 5, 100, 103, 106}
         classified = []
 
-        def stub_predict(w, X):
-            i, k = int(X[0, 0]), int(X[0, 1])
-            classified.append(i)
-            return 1 - k if i in wrong else k
+        def stub_pool_vector(w, X):
+            return X[0]
 
-        monkeypatch.setattr(pipeline, "predict", stub_predict)
+        def stub_head_logits(w, pooled):
+            i, k = int(pooled[0]), int(pooled[1])
+            classified.append(i)
+            return np.eye(2)[1 - k if i in wrong else k]
+
+        monkeypatch.setattr(pipeline, "pool_vector", stub_pool_vector)
+        monkeypatch.setattr(pipeline, "head_logits", stub_head_logits)
         clean = split([range(6), range(10, 16)])
         reserve = split([range(100, 108), range(110, 118)])
-        sets = build_detection_sets(None, clean, reserve, target_size=6)
+        sets, pools = build_detection_sets(None, clean, reserve, target_size=6)
         assert {k: [int(X[0, 0]) for X in clouds] for k, clouds in sets.items()} == {
             0: [0, 2, 3, 101, 102, 104],
             1: list(range(10, 16)),
         }
         # Class 0 stops at reserve cloud 104; class 1 never reaches its reserve.
         assert classified == [*range(6), *range(100, 105), *range(10, 16)]
+        assert {k: p[:, 0].tolist() for k, p in pools.items()} == {k: [X[0, 0] for X in sets[k]] for k in sets}
 
 
 class TestAssembleStatistics:
@@ -87,7 +99,7 @@ class TestAssembleStatistics:
         w = constant_logit_weights([5.0, 0.0, 0.0])
         sets = {k: [generate_shape(k, 24, seed=i) for i in range(3)] for k in range(3)}
         params = EstimationParams(tau_max=15, n_restarts=2)
-        stats = assemble_statistics(w, sets, params, seed=3)
+        stats = assemble_statistics(w, sets, pools_of(w, sets), params, seed=3)
         assert stats[0].t_hat is None
         assert stats[0].r == 0.0 and stats[0].w == 0.0 and stats[0].z == 0.0
         others = [st for st in stats if st.t_hat is not None]
@@ -100,8 +112,8 @@ class TestAssembleStatistics:
         w = constant_logit_weights([0.0, 1.0, 0.5])
         sets = {k: [generate_shape(k, 24, seed=i) for i in range(3)] for k in range(3)}
         params = EstimationParams(tau_max=15, n_restarts=2)
-        a = assemble_statistics(w, sets, params, seed=3)
-        b = assemble_statistics(w, sets, params, seed=3)
+        a = assemble_statistics(w, sets, pools_of(w, sets), params, seed=3)
+        b = assemble_statistics(w, sets, pools_of(w, sets), params, seed=3)
         assert [(s.r, s.t_hat, s.w) for s in a] == [(s.r, s.t_hat, s.w) for s in b]
 
 
@@ -111,10 +123,11 @@ class TestAssembleStatistics:
         w = init_weights(num_classes=3, seed=2)
         sets = {k: [generate_shape(k, 24, seed=i) for i in range(3)] for k in range(3)}
         params = EstimationParams(tau_max=15, n_restarts=2)
-        assemble_statistics(w, sets, params, seed=3, trace_dir=tmp_path)
+        pools = pools_of(w, sets)
+        assemble_statistics(w, sets, pools, params, seed=3, trace_dir=tmp_path)
         for s in range(3):
             alone = tmp_path / f"alone-{s}.csv"
-            estimate_group_location(w, [SearchProblem(sets[s], s, seed=3 * 1000 + s, trace_path=alone)], params)
+            estimate_group_location(w, [SearchProblem(sets[s], pools[s], s, seed=3 * 1000 + s, trace_path=alone)], params)
             assert (tmp_path / f"group-{s}.csv").read_bytes() == alone.read_bytes()
 
 
