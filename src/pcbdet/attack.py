@@ -28,6 +28,9 @@ __all__ = [
 # Radius of the ball the local offsets are drawn from, in unit-ball scale.
 GEOMETRY_RADIUS = 0.05
 
+# Random directions choose_center places its center candidates along.
+CENTER_CANDIDATES = 64
+
 # Share of the center candidates, nearest to the source clouds first, that
 # choose_center picks from.
 NEAR_FRACTION = 0.25
@@ -67,7 +70,6 @@ class AttackConfig:
     pattern_radius: float = GEOMETRY_RADIUS
     seed: int = 3
     standoff: float = 0.2
-    candidates: int = 64
 
     def __post_init__(self):
         if self.source == self.target:
@@ -80,8 +82,6 @@ class AttackConfig:
             raise ValueError("pattern radius must be positive")
         if self.standoff <= 0:
             raise ValueError("standoff must be positive")
-        if self.candidates < 1:
-            raise ValueError("need at least one center candidate")
         if self.seed < 0:
             raise ValueError(f"attack_seed = {self.seed} must be >= 0")
 
@@ -98,11 +98,11 @@ def embed_pattern(X, pattern: BackdoorPattern) -> np.ndarray:
     return np.vstack([X, pattern.points])
 
 
-def choose_center(source_clouds, standoff: float, candidates: int, seed: int, weights: ClassifierWeights) -> np.ndarray:
+def choose_center(source_clouds, standoff: float, seed: int, weights: ClassifierWeights) -> np.ndarray:
     """Pick an insertion center close to the source clouds, guided by a
     reference classifier (the attacker's clean model).
 
-    Samples `candidates` random unit directions and places each candidate at
+    Draws CENTER_CANDIDATES random directions and places each candidate at
     (1 + standoff) * direction, just outside the unit ball the normalized
     clouds live in. Among the nearest NEAR_FRACTION of the candidates (at
     least one), ranked by average distance to the source clouds, it returns
@@ -121,7 +121,7 @@ def choose_center(source_clouds, standoff: float, candidates: int, seed: int, we
     if standoff <= 0:
         raise ValueError("standoff must be positive")
     rng = np.random.default_rng([int(seed), 0xCE17E5])
-    dirs = rng.normal(size=(int(candidates), 3))
+    dirs = rng.normal(size=(CENTER_CANDIDATES, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     points = (1.0 + standoff) * dirs
     dists, _ = cloud_distances(points, [as_cloud(X) for X in source_clouds])

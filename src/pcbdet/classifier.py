@@ -43,6 +43,16 @@ HEAD_HIDDEN = 64
 # SGD momentum of train.
 MOMENTUM = 0.9
 
+# Stray points appended to every training cloud, uniform in a ball of this
+# radius and fresh each epoch: without them a network this small flips class
+# for almost any single far-out insertion.
+OUTLIER_POINTS = 2
+OUTLIER_RADIUS = 0.9
+
+# Softmax temperature folded into the output layer after training; it leaves
+# every prediction unchanged.
+LOGIT_SCALE = 0.05
+
 WEIGHTS_MAGIC = "PCBDET-WEIGHTS"
 WEIGHTS_VERSION = 1
 
@@ -95,23 +105,12 @@ def _weight_shapes(num_classes: int) -> list:
 
 @dataclass
 class TrainConfig:
-    """SGD-with-momentum training settings.
-
-    outlier_points stray points (drawn uniformly in a ball of radius
-    outlier_radius, fresh each epoch) are appended to every training cloud so
-    the classifier learns to ignore isolated inserted points; without this a
-    network this small flips class for almost any single far-out insertion.
-    logit_scale is a softmax temperature folded into the output layer after
-    training; it leaves every prediction unchanged.
-    """
+    """SGD-with-momentum training settings."""
 
     epochs: int = 12
     batch_size: int = 16
     learning_rate: float = 0.01
     seed: int = 0
-    outlier_points: int = 2
-    outlier_radius: float = 0.9
-    logit_scale: float = 0.05
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -120,12 +119,6 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.outlier_points < 0:
-            raise ValueError("outlier point count must be >= 0")
-        if self.outlier_radius < 0:
-            raise ValueError("outlier radius must be >= 0")
-        if self.logit_scale <= 0:
-            raise ValueError("logit scale must be positive")
         if self.seed < 0:
             raise ValueError(f"train_seed = {self.seed} must be >= 0")
 
@@ -386,8 +379,8 @@ def train(data: Dataset, cfg: TrainConfig) -> ClassifierWeights:
     for epoch in range(cfg.epochs):
         epoch_rng = np.random.default_rng([int(cfg.seed), 0x5417, epoch])
         order = epoch_rng.permutation(n_samples)
-        noise = cfg.outlier_radius * ball_points(epoch_rng, n_samples * cfg.outlier_points)
-        noise = noise.reshape(n_samples, cfg.outlier_points, 3)
+        noise = OUTLIER_RADIUS * ball_points(epoch_rng, n_samples * OUTLIER_POINTS)
+        noise = noise.reshape(n_samples, OUTLIER_POINTS, 3)
         for start in range(0, n_samples, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             # Clouds shorter than the batch's longest are padded with copies
@@ -408,8 +401,8 @@ def train(data: Dataset, cfg: TrainConfig) -> ClassifierWeights:
                 v *= MOMENTUM
                 v -= cfg.learning_rate * g
                 a += v
-    w.w4 *= cfg.logit_scale
-    w.b4 *= cfg.logit_scale
+    w.w4 *= LOGIT_SCALE
+    w.b4 *= LOGIT_SCALE
     w.validate()
     return w
 

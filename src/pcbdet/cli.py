@@ -7,7 +7,6 @@ detect: 0 clean, 2 attacked, 3 inconclusive, 1 error (a usage error too).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from pcbdet.config import default_config, load_config, save_config
@@ -26,8 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--config", required=True, help="run-config file")
-        sp.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
+        sp.add_argument("--config", required=True, help="run-config file; its out_dir is the output directory")
 
     sp = sub.add_parser("init-config", help="write a default config file")
     sp.add_argument("--config", required=True)
@@ -54,12 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(args):
-    cfg = load_config(args.config)
-    # replace, not assignment, so that the override passes RunConfig's checks.
-    return cfg if args.out is None else dataclasses.replace(cfg, out_dir=args.out)
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -73,19 +65,19 @@ def main(argv=None) -> int:
             return EXIT_CLEAN
 
         if args.command == "gen-data":
-            cfg = _load(args)
+            cfg = load_config(args.config)
             manifest = pipeline.gen_data_stage(cfg, cfg.out_dir)
             print(f"splits written to {cfg.out_dir}: totals {manifest['totals']}")
             return EXIT_CLEAN
 
         if args.command == "train":
-            cfg = _load(args)
+            cfg = load_config(args.config)
             metrics = pipeline.train_stage(cfg, cfg.out_dir)
             print(f"trained; test accuracy {metrics['test_accuracy']:.4f}")
             return EXIT_CLEAN
 
         if args.command == "attack":
-            cfg = _load(args)
+            cfg = load_config(args.config)
             metrics = pipeline.attack_stage(cfg, cfg.out_dir, clean_weights=args.weights)
             print(
                 f"attack {metrics['source']}->{metrics['target']}: "
@@ -95,7 +87,7 @@ def main(argv=None) -> int:
             return EXIT_CLEAN
 
         if args.command == "detect":
-            cfg = _load(args)
+            cfg = load_config(args.config)
             report = pipeline.detect_stage(cfg, args.weights, cfg.out_dir, prefix=args.prefix)
             pv = "n/a" if report.pvalue is None else report.pvalue.display()
             print(f"verdict: {report.verdict} (pv {pv}, phi {report.phi})")
@@ -108,7 +100,7 @@ def main(argv=None) -> int:
 
         if args.command == "report":
             report = read_report(args.stats, args.report)
-            pv = None if report.pvalue is None else report.pvalue.display()
+            pv = "n/a" if report.pvalue is None else report.pvalue.display()
             print(f"verdict {report.verdict}  pv {pv}  K {report.num_classes}  J {report.num_excluded}")
             for st in report.stats:
                 mark = " *" if st.source in report.excluded else ""

@@ -75,12 +75,11 @@ SECTIONS = (
     }),
     ("training", TrainConfig, "train", {
         "epochs": "epochs", "batch_size": "batch_size", "learning_rate": "learning_rate", "train_seed": "seed",
-        "outlier_points": "outlier_points", "outlier_radius": "outlier_radius", "logit_scale": "logit_scale",
     }),
     ("attack", AttackConfig, "attack", {
         "attack_source": "source", "attack_target": "target", "poison_count": "poison_count",
         "pattern_points": "pattern_points", "pattern_radius": "pattern_radius", "attack_seed": "seed",
-        "standoff": "standoff", "center_candidates": "candidates",
+        "standoff": "standoff",
     }),
     ("trigger estimation", EstimationParams, "estimation", {
         "pi": "pi", "delta": "delta", "tau_max": "tau_max", "alpha": "alpha", "lambda0": "lambda0",

@@ -55,6 +55,11 @@ DENOM_EPS = 1e-9
 # Values are clamped up to this floor before the Gamma fit.
 FIT_FLOOR = 1e-12
 
+# A null with a value above FIT_CEILING or a log-moment gap below MIN_LOG_GAP
+# is degenerate (see _fit_rows).
+FIT_CEILING = 1e100
+MIN_LOG_GAP = 1e-8
+
 # Smallest positive double; smaller p-values are flagged as underflow.
 UNDERFLOW_LIMIT = 1e-323
 
@@ -377,18 +382,24 @@ def _gamma_shape_mle(mean, gap, start):
 def _fit_rows(vals):
     """Maximum-likelihood Gamma fit of each row of vals (clamped to
     FIT_FLOOR): (shape, scale, fitted), where shape and scale hold the rows
-    that fitted marks. A row is degenerate and not fitted when its variance
-    is below 1e-30, its values are all equal, or its log-moment gap
-    log(mean) - mean(log) is not positive: equal values have a gap of 0 and
-    an infinite maximum-likelihood shape.
+    that fitted marks. A row is degenerate and not fitted when a value is
+    above FIT_CEILING (1e100; below it every square is finite) or not a
+    number, or when its log-moment gap log(mean) - mean(log) is below
+    MIN_LOG_GAP (1e-8). Equal values have a gap of 0 and an infinite
+    maximum-likelihood shape. As 1/(2k) < log(k) - digamma(k) < 1/k, the
+    floor keeps the shape below 1e8, where that difference of nearly equal
+    numbers holds about six digits and _log_gammaincc's series needs at most
+    about 74,000 terms; far above it rounding gives a wrong fit or a NaN.
     """
-    mean = vals.mean(axis=1)
-    var = vals.var(axis=1)
+    fitted = vals.max(axis=1) <= FIT_CEILING
+    rows = vals[fitted]
+    mean = rows.mean(axis=1)
     # Profile likelihood: log(k) - digamma(k) = log(mean) - mean(log).
-    gap = np.log(mean) - np.log(vals).mean(axis=1)
-    fitted = (var >= 1e-30) & (np.ptp(vals, axis=1) > 0.0) & (gap > 0.0)
-    mean = mean[fitted]
-    shape, scale = _gamma_shape_mle(mean, gap[fitted], mean * mean / var[fitted])
+    gap = np.log(mean) - np.log(rows).mean(axis=1)
+    resolved = gap >= MIN_LOG_GAP
+    fitted[fitted] = resolved
+    mean = mean[resolved]
+    shape, scale = _gamma_shape_mle(mean, gap[resolved], mean * mean / rows[resolved].var(axis=1))
     return shape, scale, fitted
 
 
@@ -407,7 +418,7 @@ def fit_gamma_null(values) -> NullFit:
         raise ValueError("need at least two values")
     shape, scale, fitted = _fit_rows(vals[None])
     if not fitted[0]:
-        raise DegenerateNullError("null statistics identical or with a non-positive log-moment gap")
+        raise DegenerateNullError(f"null statistics with a log-moment gap below {MIN_LOG_GAP} or above {FIT_CEILING}")
     return NullFit(shape=float(shape[0]), scale=float(scale[0]))
 
 
@@ -446,7 +457,8 @@ def calibrated_pvalue(fit: NullFit, r_max: float, num_null: int, num_top: int) -
     order-statistic p-value falls as the Gamma tail at r_max falls, so ranks
     are taken on that tail. A repetition whose simulated null is degenerate
     by the rule fit_gamma_null applies (_fit_rows; it happens at small
-    shapes, where draws clamp to FIT_FLOOR) has no refit, as detect would be
+    shapes, where draws clamp to FIT_FLOOR, and at shapes of about 5e7 and
+    up, near its gap floor) has no refit, as detect would be
     inconclusive: it is dropped from both the count and the denominator.
     Returns (1 + #{simulated <= observed}) / (#refitted + 1): 1 / 2001 at
     the smallest when every repetition refits, and 1.0 when none does.

@@ -71,7 +71,7 @@ CLEAN_WEIGHTS = "clean.weights"
 
 
 class DetectionInputError(ValueError):
-    """Clean detection set unusable (reserve pool exhausted below minimum)."""
+    """Clean detection set below MIN_DETECTION_CLOUDS (by config, or reserve pool exhausted)."""
 
 
 def generate_splits(cfg: RunConfig) -> tuple[dict, dict]:
@@ -166,7 +166,7 @@ def attack_stage(cfg: RunConfig, out_dir, clean_weights) -> dict:
     a = cfg.attack
     w_clean = _load_model(cfg, clean_weights)
     source_clouds = train_ds.clouds_of_class(a.source)
-    center = choose_center(source_clouds, a.standoff, a.candidates, a.seed, weights=w_clean)
+    center = choose_center(source_clouds, a.standoff, a.seed, weights=w_clean)
     pattern = make_pattern(center, a.pattern_points, a.seed, radius=a.pattern_radius)
     poisoned = poison_dataset(train_ds, a, pattern)
     w_bad = train(poisoned, cfg.train)
@@ -285,6 +285,10 @@ def assemble_statistics(w, detection_sets, pools, params: EstimationParams, seed
 
 
 def detect_stage(cfg: RunConfig, weights_path, out_dir, prefix: str) -> DetectionReport:
+    # Not a RunConfig check: a run that never detects may leave clean empty.
+    n = cfg.data.clean_per_class
+    if n < MIN_DETECTION_CLOUDS:
+        raise DetectionInputError(f"clean_per_class = {n} is below detect's minimum of {MIN_DETECTION_CLOUDS}")
     out = Path(out_dir)
     w = _load_model(cfg, weights_path)
     clean = _load_split(out, "clean", cfg.data.classes)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pcbdet.attack import (
+    CENTER_CANDIDATES,
     NEAR_FRACTION,
     AttackConfig,
     BackdoorPattern,
@@ -77,33 +78,33 @@ ZERO_NET = constant_logit_weights(np.zeros(8))
 
 class TestChooseCenter:
     def test_degenerate_single_point_cloud(self):
-        c = choose_center([np.zeros((1, 3))], standoff=0.3, candidates=16, seed=4, weights=ZERO_NET)
+        c = choose_center([np.zeros((1, 3))], standoff=0.3, seed=4, weights=ZERO_NET)
         assert np.linalg.norm(c) == pytest.approx(1.3, abs=1e-12)
         assert distance_to_cloud(c, np.zeros((1, 3)))[0] == pytest.approx(1.3, abs=1e-12)
 
     def test_sphere_class_average_distance(self):
         clouds = [generate_shape(0, 256, seed=i) for i in range(10)]
-        c = choose_center(clouds, standoff=0.3, candidates=64, seed=0, weights=ZERO_NET)
+        c = choose_center(clouds, standoff=0.3, seed=0, weights=ZERO_NET)
         # Geometry oracle: brute-force average distance over the clouds.
         avg = np.mean([distance_to_cloud(c, X)[0] for X in clouds])
         assert 0.25 <= avg <= 0.40
 
     def test_deterministic(self):
         clouds = [generate_shape(0, 64, seed=i) for i in range(3)]
-        a = choose_center(clouds, standoff=0.3, candidates=32, seed=7, weights=ZERO_NET)
-        b = choose_center(clouds, standoff=0.3, candidates=32, seed=7, weights=ZERO_NET)
+        a = choose_center(clouds, standoff=0.3, seed=7, weights=ZERO_NET)
+        b = choose_center(clouds, standoff=0.3, seed=7, weights=ZERO_NET)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("class_id", range(8))
     def test_average_distance_bound_all_families(self, class_id):
         clouds = [generate_shape(class_id, 256, seed=i) for i in range(10)]
-        c = choose_center(clouds, standoff=0.3, candidates=64, seed=5, weights=ZERO_NET)
+        c = choose_center(clouds, standoff=0.3, seed=5, weights=ZERO_NET)
         avg = np.mean([distance_to_cloud(c, X)[0] for X in clouds])
         assert avg <= 0.3 + 0.2
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
-            choose_center([], standoff=0.3, candidates=8, seed=0, weights=ZERO_NET)
+            choose_center([], standoff=0.3, seed=0, weights=ZERO_NET)
 
 
 class TestGuidedCenter:
@@ -111,16 +112,16 @@ class TestGuidedCenter:
     candidates, ranked by max-pool channels won on the source clouds."""
 
     @staticmethod
-    def candidate_points(standoff, candidates, seed):
+    def candidate_points(standoff, seed):
         # Oracle: the documented candidate set.
         rng = np.random.default_rng([seed, 0xCE17E5])
-        dirs = rng.normal(size=(candidates, 3))
+        dirs = rng.normal(size=(CENTER_CANDIDATES, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return (1 + standoff) * dirs
 
-    def candidate_distances(self, clouds, standoff, candidates, seed):
+    def candidate_distances(self, clouds, standoff, seed):
         # Each candidate's brute-force average distance to the clouds.
-        points = self.candidate_points(standoff, candidates, seed)
+        points = self.candidate_points(standoff, seed)
         return np.array([np.mean([distance_to_cloud(c, X)[0] for X in clouds]) for c in points])
 
     @staticmethod
@@ -132,28 +133,28 @@ class TestGuidedCenter:
     def test_stays_near_and_wins_at_least_the_nearest(self, class_id):
         clouds = [generate_shape(class_id, 256, seed=i) for i in range(10)]
         w = init_weights(num_classes=8, seed=class_id)
-        c = choose_center(clouds, standoff=0.2, candidates=64, seed=5, weights=w)
-        nearest = choose_center(clouds, standoff=0.2, candidates=64, seed=5, weights=ZERO_NET)
+        c = choose_center(clouds, standoff=0.2, seed=5, weights=w)
+        nearest = choose_center(clouds, standoff=0.2, seed=5, weights=ZERO_NET)
         assert np.linalg.norm(c) == pytest.approx(1.2, abs=1e-12)
         avg = np.mean([distance_to_cloud(c, X)[0] for X in clouds])
-        dists = np.sort(self.candidate_distances(clouds, 0.2, 64, 5))
+        dists = np.sort(self.candidate_distances(clouds, 0.2, 5))
         # Within the nearest quarter of the candidates, so below the median.
-        assert avg <= dists[int(64 * NEAR_FRACTION) - 1] + 1e-12
+        assert avg <= dists[int(CENTER_CANDIDATES * NEAR_FRACTION) - 1] + 1e-12
         assert avg < np.median(dists)
         assert self.channel_wins(w, c, clouds) >= self.channel_wins(w, nearest, clouds)
 
     def test_ties_go_to_the_nearest(self):
         # The all-zero network: no candidate wins a channel.
         clouds = [generate_shape(2, 128, seed=i) for i in range(4)]
-        c = choose_center(clouds, standoff=0.2, candidates=64, seed=3, weights=ZERO_NET)
-        nearest = np.argmin(self.candidate_distances(clouds, 0.2, 64, 3))
-        np.testing.assert_array_equal(c, self.candidate_points(0.2, 64, 3)[nearest])
+        c = choose_center(clouds, standoff=0.2, seed=3, weights=ZERO_NET)
+        nearest = np.argmin(self.candidate_distances(clouds, 0.2, 3))
+        np.testing.assert_array_equal(c, self.candidate_points(0.2, 3)[nearest])
 
     def test_deterministic(self):
         clouds = [generate_shape(6, 64, seed=i) for i in range(3)]
         w = init_weights(num_classes=8, seed=1)
-        a = choose_center(clouds, standoff=0.2, candidates=32, seed=7, weights=w)
-        b = choose_center(clouds, standoff=0.2, candidates=32, seed=7, weights=w)
+        a = choose_center(clouds, standoff=0.2, seed=7, weights=w)
+        b = choose_center(clouds, standoff=0.2, seed=7, weights=w)
         np.testing.assert_array_equal(a, b)
 
 

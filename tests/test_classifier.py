@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pcbdet.classifier import (
+    OUTLIER_POINTS,
     ClassifierWeights,
     TrainConfig,
     WeightsFormatError,
@@ -98,8 +99,9 @@ class TestForward:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 3)) * 2.0
         c = np.zeros(3)  # ReLU features of the origin never exceed positive maxima
-        if np.any(pool_vector(small_weights, np.vstack([X, c[None]])) != pool_vector(small_weights, X)):
-            pytest.skip("origin wins a channel for these weights")
+        # The precondition: the origin wins no channel for these weights.
+        pooled = pool_vector(small_weights, X)
+        np.testing.assert_array_equal(pool_vector(small_weights, np.vstack([X, c[None]])), pooled)
         np.testing.assert_array_equal(
             forward_logits(small_weights, np.vstack([X, c[None]])),
             forward_logits(small_weights, X),
@@ -451,7 +453,7 @@ class TestBatchBackward:
             # One backward call per step, on the whole batch padded to its
             # longest cloud (outlier points included); each cloud pools as
             # it would alone.
-            own = [len(data.clouds[i]) + cfg.outlier_points for i in batches[len(sizes)]]
+            own = [len(data.clouds[i]) + OUTLIER_POINTS for i in batches[len(sizes)]]
             sizes.append(own)
             assert fwd["pts"].shape[:2] == (len(own), max(own))
             for b, n in enumerate(own):

@@ -75,6 +75,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             load_config(path)
 
+    # Fixed choices of the stand-in classifier and attack, not settings.
+    @pytest.mark.parametrize("key", ["outlier_points", "outlier_radius", "logit_scale", "center_candidates"])
+    def test_retired_key_rejected(self, tmp_path, key):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"pi = 0.9\n{key} = 1\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line 2: unknown key {key!r}")):
+            load_config(path)
+
     def test_bad_value_names_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("\npi = fast\n")
@@ -102,13 +110,10 @@ class TestConfig:
             ("alpha = inf", True),
             ("lambda0 = inf", True),
             ("standoff = inf", True),
-            ("logit_scale = nan", True),
             ("pattern_radius = -1", False),
-            ("outlier_radius = -2", False),
             ("points_per_cloud = 8", False),
             ("train_per_class = -1", False),
             ("batch_size = 0", False),
-            ("center_candidates = 0", False),
             ("classes = 9", False),
         ],
     )
@@ -153,9 +158,6 @@ epochs = 19
 batch_size = 20
 learning_rate = 0.021
 train_seed = 22
-outlier_points = 23
-outlier_radius = 0.24
-logit_scale = 0.25
 attack_source = 1
 attack_target = 6
 poison_count = 26
@@ -163,7 +165,6 @@ pattern_points = 27
 pattern_radius = 0.28
 attack_seed = 29
 standoff = 0.3
-center_candidates = 31
 pi = 0.32
 delta = 0.33
 tau_max = 34
@@ -177,10 +178,9 @@ out_dir = runs/forty
         expected = RunConfig(
             data=DataConfig(classes=7, train_per_class=11, test_per_class=12, clean_per_class=13,
                             reserve_per_class=14, points_per_cloud=17, seed=18),
-            train=TrainConfig(epochs=19, batch_size=20, learning_rate=0.021, seed=22, outlier_points=23,
-                              outlier_radius=0.24, logit_scale=0.25),
+            train=TrainConfig(epochs=19, batch_size=20, learning_rate=0.021, seed=22),
             attack=AttackConfig(source=1, target=6, poison_count=26, pattern_points=27, pattern_radius=0.28,
-                                seed=29, standoff=0.3, candidates=31),
+                                seed=29, standoff=0.3),
             estimation=EstimationParams(pi=0.32, delta=0.33, tau_max=34, alpha=3.5, lambda0=0.036, n_restarts=37),
             detect_seed=38,
             phi=0.039,
@@ -198,7 +198,6 @@ out_dir = runs/forty
         # RunConfig holds the attack module's own config dataclass.
         assert default_config().attack == AttackConfig(
             source=2, target=4, poison_count=15, pattern_points=3, pattern_radius=0.05, seed=3, standoff=0.2,
-            candidates=64,
         )
 
 
@@ -320,7 +319,7 @@ class TestReportArtifacts:
         capsys.readouterr()
         assert main(["report", "--stats", str(csv), "--report", str(js), "--out", str(svg)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0].endswith("K 3  J 1")
+        assert out[0] == "verdict inconclusive  pv n/a  K 3  J 1"
         assert [line.split(":")[0].strip() for line in out if line.endswith(" *")] == ["class 2"]
         assert 'fill="#cc5544"' in svg.read_text()
 
@@ -473,8 +472,10 @@ class TestCliPipeline:
         clean = copy / "clean.txt"
         # The first record's header and 10 of its 64 points.
         clean.write_text("".join(clean.read_text().splitlines(keepends=True)[:11]))
-        code = main(["detect", "--config", str(cfg_path), "--out", str(copy),
-                     "--weights", str(copy / "clean.weights")])
+        cfg = load_config(cfg_path)
+        cfg.out_dir = str(copy)
+        save_config(cfg, tmp_path / "copy.cfg")
+        code = main(["detect", "--config", str(tmp_path / "copy.cfg"), "--weights", str(copy / "clean.weights")])
         assert code == 1
         assert f"error: {clean}: line 12:" in capsys.readouterr().err
 
@@ -507,8 +508,8 @@ class TestCliPipeline:
         # The default attack_target is 4: a 4-class run has no class 4. Every
         # command loads the whole config, so a clean-only stage fails too.
         path = tmp_path / "run.cfg"
-        path.write_text(lines)
-        args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        path.write_text(f"{lines}out_dir = {tmp_path / 'out'}\n")
+        args = [command, "--config", str(path)]
         if command == "attack":
             args += ["--weights", str(tmp_path / "clean.weights")]
         assert main(args) == 1
@@ -519,21 +520,19 @@ class TestCliPipeline:
     @pytest.mark.parametrize("key", ["data_seed", "train_seed", "attack_seed", "detect_seed"])
     def test_negative_seed_fails_at_load(self, tmp_path, capsys, key):
         path = tmp_path / "run.cfg"
-        path.write_text(f"{key} = -3\n")
-        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        path.write_text(f"{key} = -3\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["gen-data", "--config", str(path)]) == 1
         assert f"error: {path}: {key} = -3 must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("lines, out", [("out_dir =\n", None), ("", "")], ids=["config", "flag"])
-    def test_empty_out_dir_fails_at_load(self, tmp_path, monkeypatch, capsys, lines, out):
+    @pytest.mark.parametrize("line", ["out_dir =", "out_dir = # none"], ids=["config", "comment"])
+    def test_empty_out_dir_fails_at_load(self, tmp_path, monkeypatch, capsys, line):
         # An empty out_dir would put every output in the working directory.
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "run.cfg"
-        path.write_text(lines)
-        args = ["gen-data", "--config", str(path)] + ([] if out is None else ["--out", out])
-        assert main(args) == 1
-        where = f"{path}: " if out is None else ""
-        assert f"error: {where}out_dir = '' names no directory" in capsys.readouterr().err
+        path.write_text(line + "\n")
+        assert main(["gen-data", "--config", str(path)]) == 1
+        assert f"error: {path}: out_dir = '' names no directory" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize(
@@ -602,6 +601,14 @@ class TestCliPipeline:
         assert f"the config has classes = {classes}" in err
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == before
 
+    def test_small_clean_set_fails_before_any_read(self, tmp_path, capsys):
+        # Neither the weights nor a split exists: the check comes first.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"clean_per_class = 4\nout_dir = {tmp_path / 'run'}\n")
+        assert main(["detect", "--config", str(path), "--weights", str(tmp_path / "missing.weights")]) == 1
+        assert "error: clean_per_class = 4 is below detect's minimum of 5" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["detect", "--config", str(tmp_path / "missing.cfg"), "--weights", "x"])
         assert code == 1
@@ -613,9 +620,16 @@ class TestCliPipeline:
             (["detect", "--config", "run.cfg"], 1, "required: --weights"),
             (["attack", "--config", "run.cfg"], 1, "required: --weights"),
             (["train", "--config", "run.cfg", "--bogus"], 1, "unrecognized arguments: --bogus"),
+            (["gen-data", "--config", "run.cfg", "--out", "elsewhere"], 1, "unrecognized arguments: --out elsewhere"),
+            (["train", "--config", "run.cfg", "--out", "elsewhere"], 1, "unrecognized arguments: --out elsewhere"),
+            (["attack", "--config", "run.cfg", "--weights", "w", "--out", "elsewhere"], 1,
+             "unrecognized arguments: --out elsewhere"),
+            (["detect", "--config", "run.cfg", "--weights", "w", "--out", "elsewhere"], 1,
+             "unrecognized arguments: --out elsewhere"),
             (["--help"], 0, ""),
         ],
-        ids=["detect-no-weights", "attack-no-weights", "unknown-flag", "help"],
+        ids=["detect-no-weights", "attack-no-weights", "unknown-flag", "gen-data-out", "train-out", "attack-out",
+             "detect-out", "help"],
     )
     def test_usage_exit_code(self, capsys, argv, code, message):
         # argparse's own status for a usage error, 2, is detect's "attacked".
@@ -656,6 +670,8 @@ class TestCliPipeline:
     def test_init_config(self, tmp_path):
         path = tmp_path / "default.cfg"
         assert main(["init-config", "--config", str(path)]) == 0
+        keys = [line.split(" = ")[0] for line in path.read_text().splitlines() if line and not line.startswith("#")]
+        assert keys == [key for _, _, _, section in SECTIONS for key in section] and len(keys) == 27
         cfg = load_config(path)
         assert cfg.estimation.pi == 0.9
         assert cfg.estimation.tau_max == 3000
@@ -681,20 +697,30 @@ class TestReproducibility:
         save_config(cfg, cfg_path)
         assert main(["gen-data", "--config", str(cfg_path)]) == 0
         procs = {}
-        for threads in ("1", "2", "3", "4"):
-            out = tmp_path / f"threads-{threads}"
-            shutil.copytree(tmp_path / "data", out)
-            run = ["--config", str(cfg_path), "--out", str(out)]
-            train, attack = ["train", *run], ["attack", *run, "--weights", str(out / "clean.weights")]
-            detect_argv = ["detect", *run, "--weights", str(out / "poisoned.weights")]
-            # detect exits 2 or 3 for its verdict; only 1 is an error.
-            code = ("import sys; from pcbdet.cli import main; "
-                    f"sys.exit(main({train!r}) or main({attack!r}) or main({detect_argv!r}) == 1)")
-            procs[out] = subprocess.Popen([sys.executable, "-c", code], env=_env_with_src(OPENBLAS_NUM_THREADS=threads),
-                                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        for proc in procs.values():
-            output, _ = proc.communicate(timeout=300)
-            assert proc.returncode == 0, output
+        try:
+            for threads in ("1", "2", "3", "4"):
+                out = tmp_path / f"threads-{threads}"
+                shutil.copytree(tmp_path / "data", out)
+                cfg.out_dir = str(out)
+                save_config(cfg, out / "run.cfg")
+                run = ["--config", str(out / "run.cfg")]
+                train, attack = ["train", *run], ["attack", *run, "--weights", str(out / "clean.weights")]
+                detect_argv = ["detect", *run, "--weights", str(out / "poisoned.weights")]
+                # detect exits 2 or 3 for its verdict; only 1 is an error.
+                code = ("import sys; from pcbdet.cli import main; "
+                        f"sys.exit(main({train!r}) or main({attack!r}) or main({detect_argv!r}) == 1)")
+                procs[out] = subprocess.Popen([sys.executable, "-c", code],
+                                              env=_env_with_src(OPENBLAS_NUM_THREADS=threads),
+                                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+            outputs = {out: proc.communicate(timeout=300)[0] for out, proc in procs.items()}
+        finally:
+            # Every child ends and is reaped before the first assertion, so
+            # a failing one leaves no process or open pipe behind.
+            for proc in procs.values():
+                proc.kill()
+                proc.communicate()
+        for out, proc in procs.items():
+            assert proc.returncode == 0, outputs[out]
         one, *others = procs
         names = ["clean.weights", "poisoned.weights", "detect-statistics.csv", "detect-report.json",
                  "detect-histogram.svg"]

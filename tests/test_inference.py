@@ -26,6 +26,7 @@ from pcbdet.inference import (
     fit_gamma_null,
     order_statistic_pvalue,
 )
+from pcbdet.report import read_report, write_report_json, write_statistics_csv
 from tests.oracles import gamma_cdf
 
 
@@ -147,6 +148,18 @@ class TestGammaFit:
         shape, scale, fitted = _fit_rows(vals)
         assert fitted.tolist() == [False, True, False, False]
         assert NullFit(shape=shape[0], scale=scale[0]) == fit_gamma_null(vals[1])
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1 + eps * k for k in range(6)] for eps in (1e-7, 1e-8, 1e-9, 1e-12)] + [[1e200, 2e200, 3e200, 4e200]],
+        ids=["eps-1e-7", "eps-1e-8", "eps-1e-9", "eps-1e-12", "above-ceiling"],
+    )
+    def test_unresolvable_nulls_degenerate(self, values):
+        # Near-equal values have a gap below MIN_LOG_GAP, which rounding
+        # swamps; the last row's squares overflow. Neither may come out as a
+        # NaN or warn (warnings are errors here).
+        with pytest.raises(DegenerateNullError):
+            fit_gamma_null(values)
 
     def test_clamps_zeros(self):
         fit = fit_gamma_null(np.array([0.0, 0.0, 1.0, 2.0, 0.5]))
@@ -358,6 +371,16 @@ class TestDetect:
         stats = make_stats([0.0] * 8, t_hats=[1, 2, 3, 4, 5, 6, 7, 0])
         report = detect(stats, phi=0.05)
         assert report.verdict == "inconclusive"
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9, 1e-12])
+    def test_near_equal_null_inconclusive(self, tmp_path, eps):
+        report = detect(make_stats([1 + eps * s for s in range(7)] + [5.0]), phi=0.05)
+        assert report.verdict == "inconclusive"
+        csv, js = tmp_path / "s.csv", tmp_path / "r.json"
+        write_statistics_csv(report, csv)
+        write_report_json(report, js)
+        assert "NaN" not in js.read_text()
+        assert read_report(csv, js).verdict == "inconclusive"
 
     def test_failed_class_statistics_are_zero_convention(self):
         stats = make_stats([0.5, 2.0, 0.1, 0.4, 0.3, 0.2, 0.25, 0.0],
