@@ -64,40 +64,6 @@ def main(argv=None) -> int:
             print(f"wrote {args.config}")
             return EXIT_CLEAN
 
-        if args.command == "gen-data":
-            cfg = load_config(args.config)
-            manifest = pipeline.gen_data_stage(cfg, cfg.out_dir)
-            print(f"splits written to {cfg.out_dir}: totals {manifest['totals']}")
-            return EXIT_CLEAN
-
-        if args.command == "train":
-            cfg = load_config(args.config)
-            metrics = pipeline.train_stage(cfg, cfg.out_dir)
-            print(f"trained; test accuracy {metrics['test_accuracy']:.4f}")
-            return EXIT_CLEAN
-
-        if args.command == "attack":
-            cfg = load_config(args.config)
-            metrics = pipeline.attack_stage(cfg, cfg.out_dir, clean_weights=args.weights)
-            print(
-                f"attack {metrics['source']}->{metrics['target']}: "
-                f"asr {metrics['attack_success_rate']:.3f}, "
-                f"clean accuracy delta {metrics['clean_accuracy_delta']:.4f}"
-            )
-            return EXIT_CLEAN
-
-        if args.command == "detect":
-            cfg = load_config(args.config)
-            report = pipeline.detect_stage(cfg, args.weights, cfg.out_dir, prefix=args.prefix)
-            pv = "n/a" if report.pvalue is None else report.pvalue.display()
-            print(f"verdict: {report.verdict} (pv {pv}, phi {report.phi})")
-            if report.verdict == VERDICT_ATTACKED:
-                print(f"inferred target class: {report.inferred_target}")
-                return EXIT_ATTACKED
-            if report.verdict == VERDICT_INCONCLUSIVE:
-                return EXIT_INCONCLUSIVE
-            return EXIT_CLEAN
-
         if args.command == "report":
             report = read_report(args.stats, args.report)
             pv = "n/a" if report.pvalue is None else report.pvalue.display()
@@ -110,6 +76,37 @@ def main(argv=None) -> int:
                 )
             write_histogram_svg(report, args.out)
             print(f"histogram written to {args.out}")
+            return EXIT_CLEAN
+
+        cfg = load_config(args.config)
+        if args.command == "gen-data":
+            manifest = pipeline.gen_data_stage(cfg)
+            print(f"splits written to {cfg.out_dir}: totals {manifest['totals']}")
+            return EXIT_CLEAN
+
+        if args.command == "train":
+            metrics = pipeline.train_stage(cfg)
+            print(f"trained; test accuracy {metrics['test_accuracy']:.4f}")
+            return EXIT_CLEAN
+
+        if args.command == "attack":
+            metrics = pipeline.attack_stage(cfg, clean_weights=args.weights)
+            print(
+                f"attack {metrics['source']}->{metrics['target']}: "
+                f"asr {metrics['attack_success_rate']:.3f}, "
+                f"clean accuracy delta {metrics['clean_accuracy_delta']:.4f}"
+            )
+            return EXIT_CLEAN
+
+        if args.command == "detect":
+            report = pipeline.detect_stage(cfg, args.weights, prefix=args.prefix)
+            pv = "n/a" if report.pvalue is None else report.pvalue.display()
+            print(f"verdict: {report.verdict} (pv {pv}, phi {report.phi})")
+            if report.verdict == VERDICT_ATTACKED:
+                print(f"inferred target class: {report.inferred_target}")
+                return EXIT_ATTACKED
+            if report.verdict == VERDICT_INCONCLUSIVE:
+                return EXIT_INCONCLUSIVE
             return EXIT_CLEAN
     except BrokenPipeError:
         raise

@@ -125,6 +125,14 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
+    """Write cfg as load_config reads it; an out_dir that the file format
+    cannot hold as given (load_config would read it back as another path)
+    raises ValueError before anything is written."""
+    out_dir = cfg.out_dir
+    if out_dir != out_dir.strip() or any(ch in out_dir for ch in "#\r\n"):
+        raise ValueError(
+            f"out_dir = {out_dir!r}: a config file cannot hold '#', a line break, or leading or trailing whitespace"
+        )
     blocks = []
     for comment, _, attr, keys in SECTIONS:
         section = cfg if attr is None else getattr(cfg, attr)

@@ -1,7 +1,7 @@
 """End-to-end stages shared by the CLI: data generation, training, attack,
-and detection. Each stage reads and writes plain files so stages can run as
-separate processes, and every output is byte-deterministic for a fixed
-config.
+and detection. Each stage takes the run config and reads and writes plain
+files in its out_dir, so stages can run as separate processes, and every
+output is byte-deterministic for a fixed config.
 
 The detection stage deliberately takes only a weights file and the clean
 detection splits; it has no access to (and no argument for) the training
@@ -10,6 +10,7 @@ split.
 
 from __future__ import annotations
 
+import os
 from itertools import chain, islice
 from pathlib import Path
 
@@ -95,8 +96,8 @@ def generate_splits(cfg: RunConfig) -> tuple[dict, dict]:
     return splits, ranges
 
 
-def gen_data_stage(cfg: RunConfig, out_dir) -> dict:
-    out = Path(out_dir)
+def gen_data_stage(cfg: RunConfig) -> dict:
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     splits, ranges = generate_splits(cfg)
     for name in SPLIT_NAMES:
@@ -115,20 +116,20 @@ def gen_data_stage(cfg: RunConfig, out_dir) -> dict:
     return manifest
 
 
-def _load_split(out_dir, name: str, num_classes: int) -> Dataset:
-    path = Path(out_dir) / f"{name}.txt"
+def _load_split(cfg: RunConfig, name: str) -> Dataset:
+    path = Path(cfg.out_dir) / f"{name}.txt"
     if not path.exists():
         raise FileNotFoundError(f"missing split file {path}; run gen-data first")
-    return load_dataset(path, num_classes=num_classes)
+    return load_dataset(path, num_classes=cfg.data.classes)
 
 
-def _load_test_split(out_dir, num_classes: int) -> Dataset:
+def _load_test_split(cfg: RunConfig) -> Dataset:
     """The test split, which train and attack score their models on, so it
     must not be empty; checked before any training starts."""
-    test_ds = _load_split(out_dir, "test", num_classes)
+    test_ds = _load_split(cfg, "test")
     if len(test_ds) == 0:
         raise ValueError(
-            f"{Path(out_dir) / 'test.txt'}: empty test split; set test_per_class >= 1 and rerun gen-data"
+            f"{Path(cfg.out_dir) / 'test.txt'}: empty test split; set test_per_class >= 1 and rerun gen-data"
         )
     return test_ds
 
@@ -143,10 +144,10 @@ def _load_model(cfg: RunConfig, path) -> ClassifierWeights:
     return w
 
 
-def train_stage(cfg: RunConfig, out_dir) -> dict:
-    out = Path(out_dir)
-    train_ds = _load_split(out, "train", cfg.data.classes)
-    test_ds = _load_test_split(out, cfg.data.classes)
+def train_stage(cfg: RunConfig) -> dict:
+    out = Path(cfg.out_dir)
+    train_ds = _load_split(cfg, "train")
+    test_ds = _load_test_split(cfg)
     w = train(train_ds, cfg.train)
     save_weights(w, out / CLEAN_WEIGHTS)
     metrics = {"test_accuracy": accuracy(w, test_ds), "weights": CLEAN_WEIGHTS}
@@ -154,15 +155,15 @@ def train_stage(cfg: RunConfig, out_dir) -> dict:
     return metrics
 
 
-def attack_stage(cfg: RunConfig, out_dir, clean_weights) -> dict:
+def attack_stage(cfg: RunConfig, clean_weights) -> dict:
     """Poison, retrain, and record attack metrics.
 
     clean_weights (a path) supplies the reference model: it guides the
     trigger center (choose_center) and gives the clean-accuracy delta.
     """
-    out = Path(out_dir)
-    train_ds = _load_split(out, "train", cfg.data.classes)
-    test_ds = _load_test_split(out, cfg.data.classes)
+    out = Path(cfg.out_dir)
+    train_ds = _load_split(cfg, "train")
+    test_ds = _load_test_split(cfg)
     a = cfg.attack
     w_clean = _load_model(cfg, clean_weights)
     source_clouds = train_ds.clouds_of_class(a.source)
@@ -284,15 +285,18 @@ def assemble_statistics(w, detection_sets, pools, params: EstimationParams, seed
     return stats
 
 
-def detect_stage(cfg: RunConfig, weights_path, out_dir, prefix: str) -> DetectionReport:
+def detect_stage(cfg: RunConfig, weights_path, prefix: str) -> DetectionReport:
     # Not a RunConfig check: a run that never detects may leave clean empty.
     n = cfg.data.clean_per_class
     if n < MIN_DETECTION_CLOUDS:
         raise DetectionInputError(f"clean_per_class = {n} is below detect's minimum of {MIN_DETECTION_CLOUDS}")
-    out = Path(out_dir)
+    # The prefix names files inside out_dir, never a directory of its own.
+    if not prefix or any(sep and sep in prefix for sep in ("/", os.sep, os.altsep)):
+        raise ValueError(f"prefix {prefix!r} must be non-empty and hold no path separator")
+    out = Path(cfg.out_dir)
     w = _load_model(cfg, weights_path)
-    clean = _load_split(out, "clean", cfg.data.classes)
-    reserve = _load_split(out, "reserve", cfg.data.classes)
+    clean = _load_split(cfg, "clean")
+    reserve = _load_split(cfg, "reserve")
     sets, pools = build_detection_sets(w, clean, reserve, cfg.data.clean_per_class)
     stats = assemble_statistics(w, sets, pools, cfg.estimation, cfg.detect_seed)
     report = detect(stats, phi=cfg.phi)

@@ -30,6 +30,20 @@ STATS_HEADER = ",".join(("class", "t_hat", *STATS_VALUES, "excluded"))
 
 HISTOGRAM_BINS = 20
 
+# The report JSON's p-value and fit keys: all numbers after a fit, all null
+# when the verdict is inconclusive.
+PV_FIT_KEYS = ("pv", "log_pv", "order_pv", "order_log_pv", "gamma_shape", "gamma_scale")
+
+# key -> (test, the range in words): every value detect writes passes. The
+# calibrated pv counts a rank, so it is never 0; order_pv is 0 on underflow.
+REPORT_RANGES = {
+    "phi": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "pv": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "order_pv": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "gamma_shape": (lambda v: v > 0, "above 0"),
+    "gamma_scale": (lambda v: v > 0, "above 0"),
+}
+
 
 def write_json(payload: dict, path) -> None:
     """payload as indented, key-sorted ASCII JSON ending in a newline."""
@@ -115,23 +129,40 @@ def read_report(stats_path, report_path) -> DetectionReport:
     gamma fields. The JSON's verdict, s_max, inferred_target, J and K are
     not read: the report derives them from the statistics, the held-out
     classes, pv and phi. A JSON that does not parse, or lacks a key
-    that is read or holds a non-number or a non-finite number there (null
-    stays valid), raises ValueError naming the file and the key.
+    that is read or holds a non-number or a non-finite number there, raises
+    ValueError naming the file and the key. So does a value that no detect
+    writes: one outside its REPORT_RANGES range, a null phi, or PV_FIT_KEYS
+    that are neither all null nor all numbers. A CSV without rows, or whose
+    top class (largest r, lowest index on ties) is not marked excluded,
+    raises ValueError naming the CSV.
     """
     rows = read_statistics_csv(stats_path)
+    if not rows:
+        raise ValueError(f"{stats_path}: no class rows")
+    top = max(rows, key=lambda row: row["r"])
+    if not top["excluded"]:
+        raise ValueError(f"{stats_path}: excluded = 0 for class {top['class']}, the top r, which detect holds out")
     try:
         rep = json.loads(read_text(report_path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{report_path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(rep, dict):
         raise ValueError(f"{report_path}: not a JSON object")
-    for key in ("pv", "log_pv", "order_pv", "order_log_pv", "phi", "gamma_shape", "gamma_scale"):
+    for key in ("phi", *PV_FIT_KEYS):
         if key not in rep:
             raise ValueError(f"{report_path}: missing key {key!r}")
-        if not isinstance(rep[key], (int, float, type(None))):
+        if not isinstance(rep[key], (int, float) if key == "phi" else (int, float, type(None))):
             raise ValueError(f"{report_path}: {key} = {rep[key]!r} is not a number")
         if isinstance(rep[key], float) and not math.isfinite(rep[key]):
             raise ValueError(f"{report_path}: {key} = {rep[key]!r} is not finite")
+    null = [key for key in PV_FIT_KEYS if rep[key] is None]
+    if 0 < len(null) < len(PV_FIT_KEYS):
+        given = next(key for key in PV_FIT_KEYS if rep[key] is not None)
+        raise ValueError(f"{report_path}: {null[0]} is null but {given} = {rep[given]!r}: the p-value and fit keys "
+                         f"are all null or all numbers")
+    for key, (ok, words) in REPORT_RANGES.items():
+        if rep[key] is not None and not ok(rep[key]):
+            raise ValueError(f"{report_path}: {key} = {rep[key]!r} is not {words}")
     stats = [
         ClassStatistics(
             source=row["class"],

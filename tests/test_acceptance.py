@@ -55,10 +55,11 @@ def protocol(tmp_path_factory):
     """Full desk-scale experiment; every later criterion reads from this."""
     root = tmp_path_factory.mktemp("acceptance")
     cfg = default_config()
+    cfg.out_dir = str(root)
     results = {"root": root, "cfg": cfg, "pairs": [], "times": {}}
 
     t0 = time.monotonic()
-    pipeline.gen_data_stage(cfg, root)
+    pipeline.gen_data_stage(cfg)
     results["times"]["gen"] = time.monotonic() - t0
 
     for source, target, seed in ATTACK_PAIRS:
@@ -72,19 +73,20 @@ def protocol(tmp_path_factory):
         pcfg.attack.source = source
         pcfg.attack.target = target
         pcfg.attack.seed = 100 + source
+        pcfg.out_dir = str(out)
 
         t0 = time.monotonic()
-        run["train_metrics"] = pipeline.train_stage(pcfg, out)
+        run["train_metrics"] = pipeline.train_stage(pcfg)
         run["train_time"] = time.monotonic() - t0
 
-        run["attack_metrics"] = pipeline.attack_stage(pcfg, out, clean_weights=out / "clean.weights")
+        run["attack_metrics"] = pipeline.attack_stage(pcfg, clean_weights=out / "clean.weights")
 
         t0 = time.monotonic()
-        run["report_bad"] = pipeline.detect_stage(pcfg, out / "poisoned.weights", out, prefix="bad")
+        run["report_bad"] = pipeline.detect_stage(pcfg, out / "poisoned.weights", prefix="bad")
         run["detect_bad_time"] = time.monotonic() - t0
 
         t0 = time.monotonic()
-        run["report_clean"] = pipeline.detect_stage(pcfg, out / "clean.weights", out, prefix="cln")
+        run["report_clean"] = pipeline.detect_stage(pcfg, out / "clean.weights", prefix="cln")
         run["detect_clean_time"] = time.monotonic() - t0
 
         run["out"] = out
@@ -261,10 +263,11 @@ class TestCriteria:
 
         def run_all(out: Path):
             out.mkdir()
-            pipeline.gen_data_stage(cfg, out)
-            pipeline.train_stage(cfg, out)
-            pipeline.attack_stage(cfg, out, clean_weights=out / "clean.weights")
-            pipeline.detect_stage(cfg, out / "poisoned.weights", out, prefix="d")
+            cfg.out_dir = str(out)
+            pipeline.gen_data_stage(cfg)
+            pipeline.train_stage(cfg)
+            pipeline.attack_stage(cfg, clean_weights=out / "clean.weights")
+            pipeline.detect_stage(cfg, out / "poisoned.weights", prefix="d")
             names = [
                 "manifest.json", "train.txt", "test.txt", "clean.txt", "reserve.txt",
                 "train-metrics.json", "clean.weights", "pattern.txt", "poisoned.weights",

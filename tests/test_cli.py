@@ -62,6 +62,22 @@ class TestConfig:
         assert back.phi == cfg.phi
         assert back.out_dir == cfg.out_dir
 
+    def test_out_dir_with_inner_spaces_round_trips(self, tmp_path):
+        cfg = tiny_config(tmp_path / "my runs" / "run 1")
+        save_config(cfg, tmp_path / "run.cfg")
+        assert load_config(tmp_path / "run.cfg").out_dir == str(tmp_path / "my runs" / "run 1")
+
+    # load_config ends a value at '#' and a line at LF, and strips the value.
+    @pytest.mark.parametrize("out_dir", ["runs/a#1", "runs/a\nphi = 0.5", "runs/a\rb", " runs/a", "runs/a "],
+                             ids=["hash", "lf", "cr", "leading-space", "trailing-space"])
+    def test_out_dir_the_file_cannot_hold_fails_before_writing(self, tmp_path, out_dir):
+        cfg = default_config()
+        cfg.out_dir = out_dir
+        path = tmp_path / "run.cfg"
+        with pytest.raises(ValueError, match="^" + re.escape(f"out_dir = {out_dir!r}: a config file cannot hold")):
+            save_config(cfg, path)
+        assert not path.exists()
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# hello\n\npi = 0.8  # trailing comment\nphi=0.1\n")
@@ -204,7 +220,7 @@ out_dir = runs/forty
 class TestGenData:
     def test_manifest_totals_and_disjoint_ranges(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
-        manifest = pipeline.gen_data_stage(cfg, cfg.out_dir)
+        manifest = pipeline.gen_data_stage(cfg)
         assert manifest["totals"] == {"train": 128, "test": 24, "clean": 40, "reserve": 24}
         ranges = manifest["sample_id_ranges"]
         spans = sorted(ranges.values())
@@ -213,15 +229,15 @@ class TestGenData:
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
-        pipeline.gen_data_stage(cfg, cfg.out_dir)
+        pipeline.gen_data_stage(cfg)
         first = {p.name: p.read_bytes() for p in Path(cfg.out_dir).iterdir()}
-        pipeline.gen_data_stage(cfg, cfg.out_dir)
+        pipeline.gen_data_stage(cfg)
         second = {p.name: p.read_bytes() for p in Path(cfg.out_dir).iterdir()}
         assert first == second
 
     def test_splits_load_back(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
-        pipeline.gen_data_stage(cfg, cfg.out_dir)
+        pipeline.gen_data_stage(cfg)
         train = load_dataset(Path(cfg.out_dir) / "train.txt", cfg.data.classes)
         clean = load_dataset(Path(cfg.out_dir) / "clean.txt", cfg.data.classes)
         assert len(train) == 128 and len(clean) == 40
@@ -290,7 +306,8 @@ class TestReportArtifacts:
 
     @pytest.mark.parametrize("inconclusive", [False, True])
     def test_read_report_round_trip(self, tmp_path, inconclusive):
-        report = fake_report([0.0, 0.5, 1.2, 0.3, 0.1, 0.2, 0.4, 0.15])
+        # Class 2, the top r, is held out, as every detect holds out its top class.
+        report = fake_report([0.0, 0.5, 1.2, 0.3, 0.1, 0.2, 0.4, 0.15], excluded=(2,))
         report.order_pvalue = PValue(pv=1e-5, log_pv=np.log(1e-5))
         if inconclusive:
             report.fit = report.pvalue = report.order_pvalue = None
@@ -561,11 +578,27 @@ class TestCliPipeline:
             ("csv", lambda t: re.sub(r"^2,[^,]*", "2,-2", t, flags=re.M),
              "line 4: t_hat = -2 is neither -1 nor another class"),
             ("csv", lambda t: re.sub(r",[01]$", ",2", t, count=1, flags=re.M), "line 2: excluded = 2 is not 0 or 1"),
+            ("json", lambda t: t.replace('"phi": 0.05', '"phi": 2.0'), "phi = 2.0 is not in (0, 1)"),
+            ("json", lambda t: t.replace('"phi": 0.05', '"phi": null'), "phi = None is not a number"),
+            ("json", lambda t: re.sub(r'"pv": [^,\n]*', '"pv": -0.5', t), "pv = -0.5 is not in (0, 1]"),
+            ("json", lambda t: re.sub(r'"pv": [^,\n]*', '"pv": 0', t), "pv = 0 is not in (0, 1]"),
+            ("json", lambda t: re.sub(r'"order_pv": [^,\n]*', '"order_pv": 1.5', t), "order_pv = 1.5 is not in [0, 1]"),
+            ("json", lambda t: re.sub(r'"gamma_shape": [^,\n]*', '"gamma_shape": -1.0', t),
+             "gamma_shape = -1.0 is not above 0"),
+            ("json", lambda t: re.sub(r'"gamma_scale": [^,\n]*', '"gamma_scale": 0', t),
+             "gamma_scale = 0 is not above 0"),
+            ("json", lambda t: re.sub(r'"pv": [^,\n]*', '"pv": null', t), "pv is null but log_pv = "),
+            ("json", lambda t: re.sub(r'"(gamma_shape|gamma_scale)": [^,\n]*', r'"\1": null', t),
+             "gamma_shape is null but pv = "),
+            ("csv", lambda t: re.sub(r",1$", ",0", t, flags=re.M), "excluded = 0 for class "),
+            ("csv", lambda t: t.split("\n", 1)[0] + "\n", "no class rows"),
         ],
         ids=["csv-empty-field", "csv-missing-field", "csv-header", "csv-short-row", "json-missing-key",
              "json-string", "json-truncated", "csv-nan", "json-nan", "csv-negative-r", "csv-negative-ratio",
              "csv-class-not-index", "csv-t-hat-out-of-range", "csv-t-hat-is-source", "csv-t-hat-negative",
-             "csv-excluded-not-flag"],
+             "csv-excluded-not-flag", "json-phi-above-1", "json-phi-null", "json-pv-negative", "json-pv-zero",
+             "json-order-pv-above-1", "json-shape-negative", "json-scale-zero", "json-pv-null-with-fit",
+             "json-fit-null-with-pv", "csv-top-not-excluded", "csv-no-rows"],
     )
     def test_report_input_fails_at_the_boundary(self, detected, tmp_path, capsys, which, edit, message):
         paths = {"csv": tmp_path / "s.csv", "json": tmp_path / "r.json"}
@@ -607,6 +640,17 @@ class TestCliPipeline:
         path.write_text(f"clean_per_class = 4\nout_dir = {tmp_path / 'run'}\n")
         assert main(["detect", "--config", str(path), "--weights", str(tmp_path / "missing.weights")]) == 1
         assert "error: clean_per_class = 4 is below detect's minimum of 5" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("prefix", ["../escaped", "", "nodir/x"], ids=["parent", "empty", "subdir"])
+    def test_bad_prefix_fails_before_any_read(self, tmp_path, capsys, prefix):
+        # Neither the weights nor a split exists: the check comes first, and
+        # no output lands inside out_dir or beside it.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"out_dir = {tmp_path / 'run'}\n")
+        argv = ["detect", "--config", str(path), "--weights", str(tmp_path / "missing.weights"), "--prefix", prefix]
+        assert main(argv) == 1
+        assert f"error: prefix {prefix!r} must be non-empty and hold no path separator" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_error_exit_code(self, tmp_path, capsys):

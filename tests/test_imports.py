@@ -7,7 +7,9 @@ dataclass field and property is read by package code unless UNREAD_FIELDS
 names it."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -170,6 +172,44 @@ def test_checker_finds_test_only_api():
 def test_no_test_only_api():
     # Equality, not a subset: an exemption whose function gains a caller goes.
     assert sorted(name.split(":")[1] for name in uncalled_public_functions(package_sources())) == sorted(UNCALLED_API)
+
+
+def stage_setting_parameters(module, sections) -> list:
+    """'name(param)' for each parameter of a module's *_stage function that
+    is named after a run setting: a config key or a field of a section's
+    dataclass (RunConfig's own fields among them), given as config.SECTIONS."""
+    settings = set()
+    for _, cls, _, keys in sections:
+        settings |= set(keys) | {f.name for f in dataclasses.fields(cls)}
+    return [
+        f"{name}({param})"
+        for name, func in vars(module).items()
+        if name.endswith("_stage") and callable(func)
+        for param in inspect.signature(func).parameters
+        if param in settings
+    ]
+
+
+def test_checker_finds_stage_setting_parameters():
+    @dataclasses.dataclass
+    class Section:
+        seed: int = 0
+        out_dir: str = ""
+
+    module = types.ModuleType("m")
+    exec("def a_stage(cfg, out_dir, prefix): pass\ndef b_stage(cfg, data_seed): pass\n"
+         "def helper(seed): pass\n", vars(module))
+    sections = (("s", Section, None, {"data_seed": "seed", "out_dir": "out_dir"}),)
+    assert stage_setting_parameters(module, sections) == ["a_stage(out_dir)", "b_stage(data_seed)"]
+
+
+def test_stages_take_settings_from_the_config_alone():
+    # A stage parameter that repeats a setting would be a second way to set
+    # it, beside the run config every stage already takes.
+    from pcbdet import pipeline
+    from pcbdet.config import SECTIONS
+
+    assert stage_setting_parameters(pipeline, SECTIONS) == []
 
 
 def _is_dataclass(node) -> bool:

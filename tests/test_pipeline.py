@@ -13,6 +13,7 @@ from pcbdet.pipeline import (
 )
 from pcbdet.config import default_config
 from tests.test_classifier import constant_logit_weights
+from tests.test_cli import tiny_config
 
 
 def split_of(count, classes=3, n=24, tag=0):
@@ -162,3 +163,27 @@ class TestGenerateSplits:
         for Xc in splits["clean"].clouds:
             for Xt in splits["train"].clouds:
                 assert not np.array_equal(Xc, Xt)
+
+
+class TestStages:
+    def test_every_output_lands_in_out_dir(self, tmp_path, monkeypatch):
+        # Each stage takes its directory from the config alone: run from an
+        # empty working directory, it writes nothing there.
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        out = tmp_path / "elsewhere" / "run"
+        cfg = tiny_config(out)
+        cfg.estimation.tau_max = 20
+        pipeline.gen_data_stage(cfg)
+        pipeline.train_stage(cfg)
+        pipeline.attack_stage(cfg, out / pipeline.CLEAN_WEIGHTS)
+        for weights in ("clean", "poisoned"):
+            pipeline.detect_stage(cfg, out / f"{weights}.weights", prefix=weights)
+        assert list(cwd.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cwd", "elsewhere"]
+        stage_files = ["train.txt", "test.txt", "clean.txt", "reserve.txt", "manifest.json", "clean.weights",
+                       "train-metrics.json", "pattern.txt", "poisoned.weights", "attack-metrics.json"]
+        detect_files = [f"{weights}-{kind}" for weights in ("clean", "poisoned")
+                        for kind in ("statistics.csv", "report.json", "histogram.svg")]
+        assert sorted(p.name for p in out.iterdir()) == sorted(stage_files + detect_files)
