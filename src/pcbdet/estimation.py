@@ -71,7 +71,6 @@ class EstimationParams:
 class GroupEstimate:
     """Result of the group search for one putative source class."""
 
-    source: int
     center: np.ndarray | None  # None means the search never became feasible
     target: int | None  # voted target class; None when failed
     rho: float  # misclassification fraction at center
@@ -262,11 +261,10 @@ def estimate_group_location(w: ClassifierWeights, problems, params: EstimationPa
     estimates = []
     for pr, (center, preds) in zip(problems, _solve(w, problems, params)):
         if center is None:
-            estimates.append(GroupEstimate(source=pr.source, center=None, target=None, rho=0.0))
+            estimates.append(GroupEstimate(center=None, target=None, rho=0.0))
         else:
             estimates.append(
                 GroupEstimate(
-                    source=pr.source,
                     center=center,
                     target=_vote(preds, pr.source, w.num_classes),
                     rho=float(_flip_rate(preds, pr.source, None)),

@@ -10,7 +10,7 @@ import json
 import math
 
 from pcbdet.geometry import read_text
-from pcbdet.inference import ClassStatistics, DetectionReport, NullFit, PValue
+from pcbdet.inference import ClassStatistics, DetectionReport, detect
 
 __all__ = [
     "STATS_VALUES",
@@ -30,20 +30,6 @@ STATS_HEADER = ",".join(("class", "t_hat", *STATS_VALUES, "excluded"))
 
 HISTOGRAM_BINS = 20
 
-# The report JSON's p-value and fit keys: all numbers after a fit, all null
-# when the verdict is inconclusive.
-PV_FIT_KEYS = ("pv", "log_pv", "order_pv", "order_log_pv", "gamma_shape", "gamma_scale")
-
-# key -> (test, the range in words): every value detect writes passes. The
-# calibrated pv counts a rank, so it is never 0; order_pv is 0 on underflow.
-REPORT_RANGES = {
-    "phi": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "pv": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "order_pv": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "gamma_shape": (lambda v: v > 0, "above 0"),
-    "gamma_scale": (lambda v: v > 0, "above 0"),
-}
-
 
 def write_json(payload: dict, path) -> None:
     """payload as indented, key-sorted ASCII JSON ending in a newline."""
@@ -52,12 +38,21 @@ def write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
+def _statistics_rows(report: DetectionReport) -> list:
+    """The CSV's rows, each a dict of column -> number, in class order."""
+    return [
+        dict(zip(STATS_HEADER.split(","), (
+            st.source,
+            -1 if st.failed else st.t_hat,
+            *(float(getattr(st, name)) for name in STATS_VALUES),
+            int(st.source in report.excluded),
+        )))
+        for st in report.stats
+    ]
+
+
 def write_statistics_csv(report: DetectionReport, path) -> None:
-    lines = [STATS_HEADER]
-    for st in report.stats:
-        values = [repr(float(getattr(st, name))) for name in STATS_VALUES]
-        t_hat = -1 if st.failed else st.t_hat
-        lines.append(",".join([str(st.source), str(t_hat), *values, "1" if st.source in report.excluded else "0"]))
+    lines = [STATS_HEADER] + [",".join(map(str, row.values())) for row in _statistics_rows(report)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -69,12 +64,15 @@ def read_statistics_csv(path):
     or a negative one in a column other than z raises ValueError naming the
     file and the 1-based line. So does an integer column out of its rule:
     class is the row's 0-based index, t_hat is -1 or a class other than the
-    row's, and excluded is 0 or 1.
+    row's, and excluded is 0 or 1. Fewer than two class rows (detect needs
+    two) raise ValueError naming the file.
     """
     names = STATS_HEADER.split(",")
     lines = [(n, ln.strip()) for n, ln in enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
     if not lines or lines[0][1] != STATS_HEADER:
         raise ValueError(f"{path}: line {lines[0][0] if lines else 1}: not a statistics CSV")
+    if len(lines) < 3:
+        raise ValueError(f"{path}: detect needs at least 2 class rows, found {len(lines) - 1}")
     rows = []
     for lineno, ln in lines[1:]:
         parts = ln.split(",")
@@ -102,8 +100,9 @@ def read_statistics_csv(path):
     return rows
 
 
-def write_report_json(report: DetectionReport, path) -> None:
-    payload = {
+def _report_payload(report: DetectionReport) -> dict:
+    """The report JSON's keys and values."""
+    return {
         "verdict": report.verdict,
         "pv": None if report.pvalue is None else report.pvalue.pv,
         "log_pv": None if report.pvalue is None else report.pvalue.log_pv,
@@ -118,51 +117,36 @@ def write_report_json(report: DetectionReport, path) -> None:
         "J": report.num_excluded,
         "K": report.num_classes,
     }
-    write_json(payload, path)
+
+
+def write_report_json(report: DetectionReport, path) -> None:
+    write_json(_report_payload(report), path)
 
 
 def read_report(stats_path, report_path) -> DetectionReport:
-    """The DetectionReport behind a statistics CSV and its report JSON.
+    """The report detect makes of a statistics CSV's statistics and its
+    report JSON's phi.
 
-    Writing it back reproduces both files byte for byte. The held-out
-    classes come from the CSV's excluded column, the fit from the JSON's
-    gamma fields. The JSON's verdict, s_max, inferred_target, J and K are
-    not read: the report derives them from the statistics, the held-out
-    classes, pv and phi. A JSON that does not parse, or lacks a key
-    that is read or holds a non-number or a non-finite number there, raises
-    ValueError naming the file and the key. So does a value that no detect
-    writes: one outside its REPORT_RANGES range, a null phi, or PV_FIT_KEYS
-    that are neither all null nor all numbers. A CSV without rows, or whose
-    top class (largest r, lowest index on ties) is not marked excluded,
-    raises ValueError naming the CSV.
+    The CSV's class, t_hat, r_s, r_t, z, w and r and the JSON's phi (a float
+    in (0, 1)) are the only input. Every other value in the two files must
+    equal what that report writes, a JSON value with the same JSON type (true
+    is not 1), so writing it back reproduces both files. Each error raises
+    ValueError naming the file: a CSV that read_statistics_csv rejects, a
+    JSON that does not parse, a bad phi, an error of detect (naming the CSV),
+    and the first value detect does not write, named by its CSV row's class
+    or its JSON key, with the value found and the value detect writes.
     """
     rows = read_statistics_csv(stats_path)
-    if not rows:
-        raise ValueError(f"{stats_path}: no class rows")
-    top = max(rows, key=lambda row: row["r"])
-    if not top["excluded"]:
-        raise ValueError(f"{stats_path}: excluded = 0 for class {top['class']}, the top r, which detect holds out")
     try:
         rep = json.loads(read_text(report_path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{report_path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(rep, dict):
         raise ValueError(f"{report_path}: not a JSON object")
-    for key in ("phi", *PV_FIT_KEYS):
-        if key not in rep:
-            raise ValueError(f"{report_path}: missing key {key!r}")
-        if not isinstance(rep[key], (int, float) if key == "phi" else (int, float, type(None))):
-            raise ValueError(f"{report_path}: {key} = {rep[key]!r} is not a number")
-        if isinstance(rep[key], float) and not math.isfinite(rep[key]):
-            raise ValueError(f"{report_path}: {key} = {rep[key]!r} is not finite")
-    null = [key for key in PV_FIT_KEYS if rep[key] is None]
-    if 0 < len(null) < len(PV_FIT_KEYS):
-        given = next(key for key in PV_FIT_KEYS if rep[key] is not None)
-        raise ValueError(f"{report_path}: {null[0]} is null but {given} = {rep[given]!r}: the p-value and fit keys "
-                         f"are all null or all numbers")
-    for key, (ok, words) in REPORT_RANGES.items():
-        if rep[key] is not None and not ok(rep[key]):
-            raise ValueError(f"{report_path}: {key} = {rep[key]!r} is not {words}")
+    if "phi" not in rep:
+        raise ValueError(f"{report_path}: missing key 'phi'")
+    if not (isinstance(rep["phi"], float) and 0 < rep["phi"] < 1):
+        raise ValueError(f"{report_path}: phi = {json.dumps(rep['phi'])} is not a float in (0, 1)")
     stats = [
         ClassStatistics(
             source=row["class"],
@@ -171,19 +155,23 @@ def read_report(stats_path, report_path) -> DetectionReport:
         )
         for row in rows
     ]
-    fit = None if rep["gamma_shape"] is None else NullFit(shape=rep["gamma_shape"], scale=rep["gamma_scale"])
-
-    def pvalue(pv, log_pv):
-        return None if pv is None else PValue(pv=pv, log_pv=log_pv)
-
-    return DetectionReport(
-        stats=stats,
-        excluded=tuple(row["class"] for row in rows if row["excluded"]),
-        fit=fit,
-        pvalue=pvalue(rep["pv"], rep["log_pv"]),
-        phi=rep["phi"],
-        order_pvalue=pvalue(rep["order_pv"], rep["order_log_pv"]),
-    )
+    try:
+        report = detect(stats, rep["phi"])
+    except ValueError as exc:
+        raise ValueError(f"{stats_path}: {exc}") from None
+    for row, written in zip(rows, _statistics_rows(report)):
+        for name, value in written.items():
+            if row[name] != value:
+                raise ValueError(f"{stats_path}: class {row['class']}: {name} = {row[name]!r}, detect writes {value!r}")
+    payload = _report_payload(report)
+    for key in {**payload, **rep}:  # detect's keys in its order, then any others
+        if key not in payload:
+            raise ValueError(f"{report_path}: key {key!r} is not one detect writes")
+        if key not in rep:
+            raise ValueError(f"{report_path}: missing key {key!r}")
+        if json.dumps(rep[key]) != json.dumps(payload[key]):
+            raise ValueError(f"{report_path}: {key} = {json.dumps(rep[key])}, detect writes {json.dumps(payload[key])}")
+    return report
 
 
 def write_histogram_svg(report: DetectionReport, path) -> None:

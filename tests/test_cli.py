@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcbdet import estimation, pipeline
 from pcbdet.attack import AttackConfig
@@ -306,18 +308,43 @@ class TestReportArtifacts:
 
     @pytest.mark.parametrize("inconclusive", [False, True])
     def test_read_report_round_trip(self, tmp_path, inconclusive):
-        # Class 2, the top r, is held out, as every detect holds out its top class.
-        report = fake_report([0.0, 0.5, 1.2, 0.3, 0.1, 0.2, 0.4, 0.15], excluded=(2,))
-        report.order_pvalue = PValue(pv=1e-5, log_pv=np.log(1e-5))
+        # Zeroing classes 3-5 leaves 3 positive statistics beside class 2, the
+        # top one: too few for a fit.
+        r_values = [0.0, 0.5, 1.2, 0.3, 0.1, 0.2, 0.4, 0.15]
         if inconclusive:
-            report.fit = report.pvalue = report.order_pvalue = None
+            r_values[3:6] = [0.0, 0.0, 0.0]
+        report = detect(fake_report(r_values).stats, phi=0.05)
+        assert report.verdict == ("inconclusive" if inconclusive else "clean")
+        self.assert_round_trip(report, tmp_path)
+
+    @staticmethod
+    def assert_round_trip(report, directory):
+        """The CSV, JSON and SVG of report, read back and written again, keep their bytes."""
         writers = {"s.csv": write_statistics_csv, "r.json": write_report_json, "h.svg": write_histogram_svg}
         for name, write in writers.items():
-            write(report, tmp_path / name)
-        back = read_report(tmp_path / "s.csv", tmp_path / "r.json")
+            write(report, directory / name)
+        back = read_report(directory / "s.csv", directory / "r.json")
         for name, write in writers.items():
-            write(back, tmp_path / f"back-{name}")
-            assert (tmp_path / f"back-{name}").read_bytes() == (tmp_path / name).read_bytes(), name
+            write(back, directory / f"back-{name}")
+            assert (directory / f"back-{name}").read_bytes() == (directory / name).read_bytes(), name
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), phi=st.floats(0.001, 0.5))
+    def test_detect_outputs_read_back_byte_for_byte(self, tmp_path_factory, data, phi):
+        # 2-10 classes; a drawn t_hat equal to the class marks a failed one.
+        # The sampled values give zero, tied and outlying statistics.
+        k = data.draw(st.sampled_from(range(2, 11)), label="classes")
+        value = st.one_of(st.floats(0.01, 10.0), st.sampled_from([0.0, 0.25, 1.0, 100.0]))
+        stats = []
+        for s in range(k):
+            t_hat = data.draw(st.integers(0, k - 1), label=f"t_hat {s}")
+            if t_hat == s:
+                stats.append(ClassStatistics(source=s, t_hat=None, r_s=0.0, r_t=0.0, z=0.0, w=0.0, r=0.0))
+            else:
+                stats.append(ClassStatistics(source=s, t_hat=t_hat, r_s=data.draw(value), r_t=data.draw(value),
+                                             z=data.draw(st.floats(-1.0, 1.0)), w=data.draw(st.floats(0.0, 1.0)),
+                                             r=data.draw(value)))
+        self.assert_round_trip(detect(stats, phi), tmp_path_factory.mktemp("round-trip"))
 
     def test_inconclusive_report_marks_its_held_out_class(self, tmp_path, capsys):
         # Too few classes for a null: inconclusive, with class 2 (the top
@@ -560,12 +587,12 @@ class TestCliPipeline:
             ("csv", lambda t: t.replace("t_hat", "t", 1), "line 1: not a statistics CSV"),
             ("csv", lambda t: t + "3,x\n", "line 10: expected 11 fields, got 2"),
             ("json", lambda t: re.sub(r'  "gamma_shape": .*\n', "", t), "missing key 'gamma_shape'"),
-            ("json", lambda t: t.replace('"phi": 0.05', '"phi": "0.05"'), "phi = '0.05' is not a number"),
+            ("json", lambda t: t.replace('"phi": 0.05', '"phi": "0.05"'), 'phi = "0.05" is not a float in (0, 1)'),
             ("json", lambda t: t[: len(t) // 2], "line "),
             ("csv", lambda t: re.sub(r"^(0,(?:[^,]*,){5})[^,]*", r"\1nan", t, flags=re.M),
              "line 2: bad r value 'nan'"),
             ("json", lambda t: re.sub(r'"gamma_scale": [^,\n]*', '"gamma_scale": NaN', t),
-             "gamma_scale = nan is not finite"),
+             "gamma_scale = NaN, detect writes "),
             ("csv", lambda t: re.sub(r"^(0,(?:[^,]*,){5})[^,]*", r"\1-0.5", t, flags=re.M),
              "line 2: r = -0.5 is negative"),
             ("csv", lambda t: re.sub(r"^(1,(?:[^,]*,){8})[^,]*", r"\1-1e-300", t, flags=re.M),
@@ -578,27 +605,38 @@ class TestCliPipeline:
             ("csv", lambda t: re.sub(r"^2,[^,]*", "2,-2", t, flags=re.M),
              "line 4: t_hat = -2 is neither -1 nor another class"),
             ("csv", lambda t: re.sub(r",[01]$", ",2", t, count=1, flags=re.M), "line 2: excluded = 2 is not 0 or 1"),
-            ("json", lambda t: t.replace('"phi": 0.05', '"phi": 2.0'), "phi = 2.0 is not in (0, 1)"),
-            ("json", lambda t: t.replace('"phi": 0.05', '"phi": null'), "phi = None is not a number"),
-            ("json", lambda t: re.sub(r'"pv": [^,\n]*', '"pv": -0.5', t), "pv = -0.5 is not in (0, 1]"),
-            ("json", lambda t: re.sub(r'"pv": [^,\n]*', '"pv": 0', t), "pv = 0 is not in (0, 1]"),
-            ("json", lambda t: re.sub(r'"order_pv": [^,\n]*', '"order_pv": 1.5', t), "order_pv = 1.5 is not in [0, 1]"),
+            ("json", lambda t: t.replace('"phi": 0.05', '"phi": 2.0'), "phi = 2.0 is not a float in (0, 1)"),
+            ("json", lambda t: t.replace('"phi": 0.05', '"phi": null'), "phi = null is not a float in (0, 1)"),
+            ("json", lambda t: re.sub(r'"pv": [^,\n]*', '"pv": -0.5', t), "pv = -0.5, detect writes "),
+            ("json", lambda t: re.sub(r'"pv": [^,\n]*', '"pv": 0', t), "pv = 0, detect writes "),
+            ("json", lambda t: re.sub(r'"order_pv": [^,\n]*', '"order_pv": 1.5', t), "order_pv = 1.5, detect writes "),
             ("json", lambda t: re.sub(r'"gamma_shape": [^,\n]*', '"gamma_shape": -1.0', t),
-             "gamma_shape = -1.0 is not above 0"),
+             "gamma_shape = -1.0, detect writes "),
             ("json", lambda t: re.sub(r'"gamma_scale": [^,\n]*', '"gamma_scale": 0', t),
-             "gamma_scale = 0 is not above 0"),
-            ("json", lambda t: re.sub(r'"pv": [^,\n]*', '"pv": null', t), "pv is null but log_pv = "),
+             "gamma_scale = 0, detect writes "),
+            ("json", lambda t: re.sub(r'"pv": [^,\n]*', '"pv": null', t), "pv = null, detect writes "),
             ("json", lambda t: re.sub(r'"(gamma_shape|gamma_scale)": [^,\n]*', r'"\1": null', t),
-             "gamma_shape is null but pv = "),
-            ("csv", lambda t: re.sub(r",1$", ",0", t, flags=re.M), "excluded = 0 for class "),
-            ("csv", lambda t: t.split("\n", 1)[0] + "\n", "no class rows"),
+             "gamma_shape = null, detect writes "),
+            ("csv", lambda t: re.sub(r",1$", ",0", t, flags=re.M), "class 2: excluded = 0, detect writes 1"),
+            ("csv", lambda t: t.split("\n", 1)[0] + "\n", "detect needs at least 2 class rows, found 0"),
+            ("csv", lambda t: "".join(t.splitlines(keepends=True)[:2]), "detect needs at least 2 class rows, found 1"),
+            ("json", lambda t: re.sub(r'"pv": [^,\n]*', '"pv": true', t), "pv = true, detect writes "),
+            ("json", lambda t: re.sub(r'"order_pv": [^,\n]*', '"order_pv": false', t),
+             "order_pv = false, detect writes "),
+            ("json", lambda t: re.sub(r'"log_pv": [^,\n]*', '"log_pv": 5.0', t), "log_pv = 5.0, detect writes "),
+            ("json", lambda t: t.replace("{", '{\n  "note": 1,', 1), "key 'note' is not one detect writes"),
+            ("csv", lambda t: re.sub(r"^(1,(?:[^,]*,){6})[^,]*", r"\g<1>2.5", t, flags=re.M),
+             "class 1: inv_rs = 2.5, detect writes "),
+            ("csv", lambda t: re.sub(r",0$", ",1", t, count=1, flags=re.M), "class 0: excluded = 1, detect writes 0"),
         ],
         ids=["csv-empty-field", "csv-missing-field", "csv-header", "csv-short-row", "json-missing-key",
              "json-string", "json-truncated", "csv-nan", "json-nan", "csv-negative-r", "csv-negative-ratio",
              "csv-class-not-index", "csv-t-hat-out-of-range", "csv-t-hat-is-source", "csv-t-hat-negative",
              "csv-excluded-not-flag", "json-phi-above-1", "json-phi-null", "json-pv-negative", "json-pv-zero",
              "json-order-pv-above-1", "json-shape-negative", "json-scale-zero", "json-pv-null-with-fit",
-             "json-fit-null-with-pv", "csv-top-not-excluded", "csv-no-rows"],
+             "json-fit-null-with-pv", "csv-top-not-excluded", "csv-no-rows", "csv-one-row", "json-pv-true",
+             "json-order-pv-false", "json-log-pv-not-log-of-pv", "json-extra-key", "csv-inv-rs-changed",
+             "csv-null-class-excluded"],
     )
     def test_report_input_fails_at_the_boundary(self, detected, tmp_path, capsys, which, edit, message):
         paths = {"csv": tmp_path / "s.csv", "json": tmp_path / "r.json"}

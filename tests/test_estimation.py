@@ -293,7 +293,7 @@ class TestStacking:
         assert sizes == [2, 2]
         assert [est.failed for est in stacked] == [False, True, False, False]
         for a, b in zip(stacked, alone):
-            assert (a.source, a.target, a.rho) == (b.source, b.target, b.rho)
+            assert (a.target, a.rho) == (b.target, b.rho)
             self.assert_same_point(a.center, b.center)
         for s in range(4):
             assert (tmp_path / f"stack-{s}.csv").read_bytes() == (tmp_path / f"alone-{s}.csv").read_bytes()

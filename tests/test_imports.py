@@ -156,7 +156,10 @@ def test_no_dead_private_helpers():
 # Public functions that no package code calls, each with the reason it stays.
 UNCALLED_API = {
     "point_to_cloud_distance": "perfbench traces it",
-    "vote_target_class": "perfbench traces it",
+    # Deleting it also drops estimation's import of pool_vector, which
+    # perfbench's TestRebinder.test_missing_names_are_reported reads as
+    # estimation.pool_vector: that test must change first.
+    "vote_target_class": "perfbench traces it, and it is estimation's only use of pool_vector",
 }
 
 
