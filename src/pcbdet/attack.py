@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pcbdet.classifier import ClassifierWeights, insertion_logits, pool_vector, predict
+from pcbdet.classifier import ClassifierWeights, accuracy, insertion_logits, pool_vector
 from pcbdet.geometry import Dataset, as_cloud, as_point, ball_points, cloud_distances
 
 __all__ = [
@@ -159,8 +159,8 @@ def attack_success_rate(w: ClassifierWeights, held_out_source, pattern: Backdoor
     """Fraction of held-out source clouds predicted as target after embedding."""
     if len(held_out_source) < 1:
         raise ValueError("need at least one held-out source cloud")
-    hits = sum(1 for X in held_out_source if predict(w, embed_pattern(X, pattern)) == target)
-    return hits / len(held_out_source)
+    embedded = [embed_pattern(X, pattern) for X in held_out_source]
+    return accuracy(w, Dataset(clouds=embedded, labels=[target] * len(embedded), num_classes=w.num_classes))
 
 
 # ---------------------------------------------------------------------------

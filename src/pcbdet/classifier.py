@@ -26,7 +26,6 @@ __all__ = [
     "init_weights",
     "forward_logits",
     "head_logits",
-    "predict",
     "pool_vector",
     "insertion_logits",
     "insertion_gradient",
@@ -211,11 +210,6 @@ def head_logits(w: ClassifierWeights, pooled: np.ndarray) -> np.ndarray:
     """Logits from pooled features (..., 128), with row-stable arithmetic:
     a cloud's pool_vector gives its forward_logits bit for bit."""
     return _head(w, pooled)[1]
-
-
-def predict(w: ClassifierWeights, X) -> int:
-    """argmax_k h(k|X); ties break toward the lowest class index."""
-    return int(np.argmax(forward_logits(w, X)))
 
 
 def pool_vector(w: ClassifierWeights, X) -> np.ndarray:
@@ -408,8 +402,12 @@ def train(data: Dataset, cfg: TrainConfig) -> ClassifierWeights:
 
 
 def accuracy(w: ClassifierWeights, data: Dataset) -> float:
-    hits = sum(1 for X, lab in zip(data.clouds, data.labels) if predict(w, X) == lab)
-    return hits / len(data)
+    """Fraction of clouds whose logits' argmax (ties to the lowest class) is
+    their label; one head call on the stacked pools gives each its own logits."""
+    if len(data) < 1:
+        raise ValueError("accuracy of an empty dataset")
+    logits = head_logits(w, np.stack([pool_vector(w, X) for X in data.clouds]))
+    return int(np.count_nonzero(logits.argmax(axis=-1) == data.labels)) / len(data)
 
 
 # ---------------------------------------------------------------------------

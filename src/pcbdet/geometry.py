@@ -368,11 +368,11 @@ def read_text(path, encoding: str = "ascii") -> str:
 
 
 def save_dataset(ds: Dataset, path) -> None:
+    """Write one string per record: % and the f-string spec .9g format a
+    float alike, so a point line is f"{x:.9g} {y:.9g} {z:.9g}"."""
     with open(path, "w", encoding="ascii") as fh:
         for X, lab in zip(ds.clouds, ds.labels):
-            fh.write(f"{int(lab)} {len(X)}\n")
-            for x, y, z in X.tolist():
-                fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+            fh.write(f"{int(lab)} {len(X)}\n" + ("%.9g %.9g %.9g\n" * len(X)) % tuple(X.ravel().tolist()))
 
 
 def _points_at_once(block: list, n: int):

@@ -203,7 +203,7 @@ def build_detection_sets(w: ClassifierWeights, clean: Dataset, reserve: Dataset,
     its clean clouds followed by its reserve clouds, in split order; no cloud
     past the fill is classified. A class may proceed with fewer than
     target_size but at least MIN_DETECTION_CLOUDS, else detection aborts.
-    A cloud is classified from its pool_vector, as predict does, and the
+    A cloud is classified from its pool_vector, as accuracy does, and the
     pools of the picked clouds are kept: returns (sets, pools), sets[k] the
     clouds of class k and pools[k] their pools stacked (M, 128), which the
     searches take as they are.

@@ -77,6 +77,23 @@ def dense_batch_backward(w, fwd, g_logits):
     return [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3, g_w4, g_b4]
 
 
+def predict(w, X) -> int:
+    """argmax_k h(k|X) of one cloud from its own forward pass, ties to the
+    lowest class index: accuracy and attack_success_rate classify a split
+    with one head call, and must count the hits this per-cloud call does."""
+    return int(np.argmax(forward_logits(w, X)))
+
+
+def point_by_point_save_dataset(ds, path) -> None:
+    """geometry.save_dataset writing one f-string per point line: the writer
+    must produce the same bytes."""
+    with open(path, "w", encoding="ascii") as fh:
+        for X, lab in zip(ds.clouds, ds.labels):
+            fh.write(f"{int(lab)} {len(X)}\n")
+            for x, y, z in X.tolist():
+                fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+
+
 def line_by_line_load_dataset(path, num_classes: int) -> Dataset:
     """geometry.load_dataset parsing every point line by str.split and
     float(): the loader must give the same arrays bit for bit, and the same

@@ -14,9 +14,9 @@ from pcbdet.attack import (
     poison_dataset,
     save_pattern,
 )
-from pcbdet.classifier import init_weights, pool_vector
+from pcbdet.classifier import accuracy, init_weights, pool_vector
 from pcbdet.geometry import Dataset, generate_shape
-from tests.oracles import distance_to_cloud
+from tests.oracles import distance_to_cloud, predict
 from tests.test_classifier import constant_logit_weights
 
 
@@ -230,6 +230,43 @@ class TestSuccessRate:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             attack_success_rate(constant_logit_weights([1, 0]), [], make_pattern([1.3, 0, 0], 1, seed=0), 1)
+
+
+class TestOneHeadCall:
+    """accuracy and attack_success_rate classify a split's stacked pools with
+    one head call; each must count the hits of one predict per cloud."""
+
+    @staticmethod
+    def assert_per_cloud_counts(w, data, pattern, target):
+        hits = sum(predict(w, X) == lab for X, lab in zip(data.clouds, data.labels))
+        assert accuracy(w, data) == hits / len(data)
+        embedded_hits = sum(predict(w, embed_pattern(X, pattern)) == target for X in data.clouds)
+        assert attack_success_rate(w, data.clouds, pattern, target) == embedded_hits / len(data)
+        return hits, embedded_hits
+
+    def test_generated_split(self):
+        # 300 clouds of 8 classes and several sizes: the stacked head spans a
+        # full 256-row block and a padded tail.
+        sizes = [16, 255, 256, 257, 40]
+        clouds = [generate_shape(i % 8, sizes[i % 5], seed=i) for i in range(300)]
+        data = Dataset(clouds=clouds, labels=np.arange(300) % 8, num_classes=8)
+        hits, embedded_hits = self.assert_per_cloud_counts(
+            init_weights(num_classes=8, seed=3), data, make_pattern([1.3, 0, 0], 3, seed=0), target=2
+        )
+        assert 0 < hits < len(data) and 0 < embedded_hits < len(data)  # neither count is trivial
+
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    def test_tied_logits_go_to_the_lowest_class(self, target):
+        w = constant_logit_weights([1.0, 1.0, 0.0])
+        data = Dataset(clouds=[generate_shape(k, 32, seed=k) for k in range(6)], labels=np.arange(6) % 3,
+                       num_classes=3)
+        assert self.assert_per_cloud_counts(w, data, make_pattern([1.3, 0, 0], 1, seed=0), target) == (
+            2, 6 * (target == 0)
+        )
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            accuracy(constant_logit_weights([1.0, 0.0]), Dataset(clouds=[], labels=[], num_classes=2))
 
 
 class TestConfigValidation:

@@ -27,12 +27,11 @@ from pcbdet.classifier import (
     load_weights,
     margin_cotangent,
     pool_vector,
-    predict,
     save_weights,
     train,
 )
 from pcbdet.geometry import Dataset, generate_shape
-from tests.oracles import dense_batch_backward, distance_to_cloud, mean_cross_entropy, point_features
+from tests.oracles import dense_batch_backward, distance_to_cloud, mean_cross_entropy, point_features, predict
 
 
 def reference_forward(w, X):

@@ -17,7 +17,7 @@ from pcbdet import estimation, pipeline
 from pcbdet.attack import AttackConfig
 from pcbdet.cli import EXIT_ATTACKED, EXIT_CLEAN, main
 from pcbdet.config import SECTIONS, DataConfig, RunConfig, default_config, load_config, save_config
-from pcbdet.classifier import TrainConfig, init_weights, load_weights, predict, save_weights
+from pcbdet.classifier import TrainConfig, init_weights, load_weights, save_weights
 from pcbdet.estimation import EstimationParams
 from pcbdet.geometry import load_dataset
 from pcbdet.inference import ClassStatistics, DetectionReport, NullFit, PValue, detect
@@ -29,6 +29,7 @@ from pcbdet.report import (
     write_report_json,
     write_statistics_csv,
 )
+from tests.oracles import predict
 
 
 def tiny_config(out_dir) -> RunConfig:

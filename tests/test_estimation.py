@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcbdet import estimation
-from pcbdet.classifier import init_weights, pool_vector, predict
+from pcbdet.classifier import init_weights, pool_vector
 from pcbdet.estimation import (
     EstimationParams,
     SearchProblem,
@@ -14,7 +14,7 @@ from pcbdet.estimation import (
 )
 from pcbdet.geometry import generate_shape
 from pcbdet.inference import compute_r_s
-from tests.oracles import distance_to_cloud, group_loss, samplewise_loss
+from tests.oracles import distance_to_cloud, group_loss, predict, samplewise_loss
 from tests.test_classifier import constant_logit_weights
 
 

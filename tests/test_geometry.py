@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -20,7 +20,13 @@ from pcbdet.geometry import (
     point_to_cloud_distance,
     save_dataset,
 )
-from tests.oracles import distance_to_cloud, full_scan_distances, line_by_line_load_dataset, point_to_cloud
+from tests.oracles import (
+    distance_to_cloud,
+    full_scan_distances,
+    line_by_line_load_dataset,
+    point_by_point_save_dataset,
+    point_to_cloud,
+)
 
 finite_coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -427,6 +433,35 @@ def load_outcome(load, path):
     return list(ds.labels), [X.tobytes() for X in ds.clouds], [X.shape for X in ds.clouds]
 
 
+# Coordinates whose text is hardest to get right: signed zeros, subnormals,
+# the ends of the double range, and values whose ninth significant digit
+# rounds (half-way cases included).
+edge_coordinates = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0**-1022, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+    0.1234567895, 1.0000000005, 9.9999999995, 999999999.5, 123456789.5, 0.99999999950000001, -2.5e-7, 1 / 3,
+]
+coordinate_values = st.one_of(
+    st.sampled_from(edge_coordinates),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2, max_value=2),
+)
+
+
+@st.composite
+def writable_datasets(draw):
+    """Datasets of 1-5 clouds of 1-40 points and labels in [0, 4); a cloud is
+    float64 from coordinate_values, or now and then an integer array."""
+    clouds = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = (draw(st.integers(1, 40)), 3)
+        if draw(st.integers(0, 4)) == 0:
+            clouds.append(draw(hnp.arrays(np.int64, shape, elements=st.integers(-(2**62), 2**62))))
+        else:
+            clouds.append(draw(hnp.arrays(np.float64, shape, elements=coordinate_values)))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(clouds), max_size=len(clouds)))
+    return Dataset(clouds=clouds, labels=np.array(labels), num_classes=4)
+
+
 @pytest.fixture(scope="module")
 def text_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("datasets")
@@ -464,6 +499,15 @@ class TestDatasetIO:
         assert list(back.labels) == [0, 1]
         for a, b in zip(ds.clouds, back.clouds):
             np.testing.assert_allclose(a, b, rtol=1e-8)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ds=writable_datasets())
+    @example(ds=Dataset(clouds=[np.resize(edge_coordinates, (7, 3)), np.arange(-6, 6).reshape(4, 3)],
+                        labels=np.array([3, 0]), num_classes=4))
+    def test_same_bytes_as_point_by_point_writer(self, text_dir, ds):
+        save_dataset(ds, text_dir / "one-call.txt")
+        point_by_point_save_dataset(ds, text_dir / "per-point.txt")
+        assert (text_dir / "one-call.txt").read_bytes() == (text_dir / "per-point.txt").read_bytes()
 
     def test_point_line_text(self, tmp_path):
         # Nine significant digits per coordinate, signed zero and subnormals kept.

@@ -155,6 +155,9 @@ def test_no_dead_private_helpers():
 
 # Public functions that no package code calls, each with the reason it stays.
 UNCALLED_API = {
+    # accuracy and attack_success_rate classify a split with one head call,
+    # so no stage runs a single cloud's forward pass.
+    "forward_logits": "perfbench traces it",
     "point_to_cloud_distance": "perfbench traces it",
     # Deleting it also drops estimation's import of pool_vector, which
     # perfbench's TestRebinder.test_missing_names_are_reported reads as
