@@ -105,7 +105,7 @@ class SearchProblem:
 # ---------------------------------------------------------------------------
 
 
-def _descent(w, problems, params):
+def _descent(w, problems: list[SearchProblem], params):
     """Run the adaptive-penalty descent of a stack of problems at once.
 
     The problems share their cloud shapes and kind (all group or all
@@ -130,9 +130,9 @@ def _descent(w, problems, params):
     gradient at the new points, a group stack's cotangent, and one query of
     the distance state.
 
-    Returns one (best_center, preds) per problem, preds being the
-    prediction on each cloud with best_center inserted, or (None, None)
-    when no iterate was feasible.
+    Returns each problem's winning center, or None when no iterate was
+    feasible. No predictions are kept: estimate_group_location evaluates
+    the winner's once, and they are the ones the loop saw there.
     """
     P, R, M = len(problems), params.n_restarts, len(problems[0].clouds)
     distances = DistanceState(np.stack([as_cloud(pr.clouds[m]) for pr in problems]) for m in range(M))
@@ -145,7 +145,6 @@ def _descent(w, problems, params):
     lam = np.full((P, R), params.lambda0)
     best_sum = np.full((P, R), np.inf)
     best_c = np.zeros((P, R, 3))
-    best_preds = np.zeros((P, R, M), dtype=np.intp)
 
     logits, cache = insertion_logits(w, pooled, c)  # (P, R, M, K)
     cotangent = margin_cotangent(logits, sources, targets)
@@ -180,7 +179,6 @@ def _descent(w, problems, params):
             improved = feasible & (total < best_sum)
             best_sum = np.where(improved, total, best_sum)
             best_c[improved] = c[improved]
-            best_preds[improved] = preds[improved]
 
             if traces:
                 margins = (cotangent * logits).sum(axis=-1)  # (P, R, M)
@@ -193,10 +191,7 @@ def _descent(w, problems, params):
                         )
 
     best = np.argmin(best_sum, axis=1)  # the first restart on ties
-    return [
-        (best_c[p, r].copy(), best_preds[p, r]) if np.isfinite(best_sum[p, r]) else (None, None)
-        for p, r in enumerate(best)
-    ]
+    return [best_c[p, r].copy() if np.isfinite(best_sum[p, r]) else None for p, r in enumerate(best)]
 
 
 def _flip_rate(preds: np.ndarray, source, target):
@@ -217,9 +212,9 @@ def _vote(preds: np.ndarray, source: int, num_classes: int) -> int:
     return int(np.argmax(counts))
 
 
-def _solve(w, problems, params):
-    """(center, preds) of every problem; problems whose clouds have the same
-    shapes form one stack and run in one descent."""
+def _solve(w, problems: list[SearchProblem], params):
+    """The winning center, or None, of every problem; problems whose clouds
+    have the same shapes form one stack and run in one descent."""
     stacks: dict = {}
     for i, pr in enumerate(problems):
         stacks.setdefault(tuple(np.shape(X) for X in pr.clouds), []).append(i)
@@ -239,7 +234,7 @@ def _check_problem(w: ClassifierWeights, pr: SearchProblem) -> None:
         raise ValueError("source class out of range")
 
 
-def estimate_group_location(w: ClassifierWeights, problems, params: EstimationParams) -> list:
+def estimate_group_location(w: ClassifierWeights, problems: list[SearchProblem], params: EstimationParams) -> list:
     """Estimate the common insertion location of each group problem.
 
     problems is a list of SearchProblem without target, one per putative
@@ -249,27 +244,24 @@ def estimate_group_location(w: ClassifierWeights, problems, params: EstimationPa
     fraction of the clouds away from the source class is a candidate, and
     the candidate with the smallest total distance to the clouds wins. A
     problem none of whose iterates is ever feasible gets a failed estimate.
-    On success, rho and the voted target come from the descent's own
-    predictions at the winner, which are exact. Problems whose clouds
-    have the same shapes run as one stacked descent; the result of each is
-    the same as when it runs alone.
+    On success, rho and the voted target come from one evaluation of
+    insertion_logits at the winner on the problem's pools: the rows are
+    row-stable, so these are the predictions the descent saw there.
+    Problems whose clouds have the same shapes run as one stacked descent;
+    the result of each is the same as when it runs alone.
     """
     for pr in problems:
         _check_problem(w, pr)
         if pr.target is not None:
             raise ValueError("a group problem has no target")
     estimates = []
-    for pr, (center, preds) in zip(problems, _solve(w, problems, params)):
+    for pr, center in zip(problems, _solve(w, problems, params)):
         if center is None:
             estimates.append(GroupEstimate(center=None, target=None, rho=0.0))
-        else:
-            estimates.append(
-                GroupEstimate(
-                    center=center,
-                    target=_vote(preds, pr.source, w.num_classes),
-                    rho=float(_flip_rate(preds, pr.source, None)),
-                )
-            )
+            continue
+        preds = np.argmax(insertion_logits(w, pr.pooled, center)[0], axis=-1)
+        target, rho = _vote(preds, pr.source, w.num_classes), float(_flip_rate(preds, pr.source, None))
+        estimates.append(GroupEstimate(center=center, target=target, rho=rho))
     return estimates
 
 
@@ -284,7 +276,9 @@ def vote_target_class(w: ClassifierWeights, clouds, c_hat, source: int) -> int:
     return _vote(np.argmax(logits, axis=-1), source, w.num_classes)
 
 
-def estimate_samplewise_location(w: ClassifierWeights, problems, params: EstimationParams) -> list:
+def estimate_samplewise_location(
+    w: ClassifierWeights, problems: list[SearchProblem], params: EstimationParams
+) -> list:
     """Per-sample insertion location driving each problem's cloud to its target.
 
     problems is a list of SearchProblem with a target, usually one cloud
@@ -302,4 +296,4 @@ def estimate_samplewise_location(w: ClassifierWeights, problems, params: Estimat
             raise ValueError("target must differ from source")
         if not 0 <= pr.target < w.num_classes:
             raise ValueError("target class out of range")
-    return [center for center, _ in _solve(w, problems, params)]
+    return _solve(w, problems, params)

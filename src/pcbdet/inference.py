@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pcbdet.geometry import as_cloud, as_point, cloud_distances
+from pcbdet.geometry import as_point, point_to_cloud_distance
 
 __all__ = [
     "ClassStatistics",
@@ -172,8 +172,7 @@ def compute_r_s(c_hat, clouds) -> float:
     """
     if len(clouds) < 1:
         raise ValueError("need at least one cloud")
-    dists, _ = cloud_distances(as_point(c_hat)[None], [as_cloud(X) for X in clouds])
-    return float(dists.mean())
+    return float(np.mean([point_to_cloud_distance(c_hat, X) for X in clouds]))
 
 
 def compute_z(group_center, samplewise_centers) -> float:
@@ -223,7 +222,7 @@ def combined_statistic(w_s: float, r_t: float, r_s: float) -> float:
     return w_s * r_t / _denominator(r_s)
 
 
-def exclusion_set(stats) -> set:
+def exclusion_set(stats: list[ClassStatistics]) -> set:
     """Classes whose voted target matches the top statistic's voted target.
 
     s_max (ties to the lowest class index) is always a member. Classes with
@@ -423,9 +422,13 @@ def fit_gamma_null(values) -> NullFit:
 
 
 def order_statistic_pvalue(fit: NullFit, r_max: float, num_classes: int, num_excluded: int) -> PValue:
-    """pv = 1 - G(r_max)^(K-J), evaluated in the log domain.
+    """pv = 1 - G(r_max)^m with m = num_classes - num_excluded, evaluated in
+    the log domain.
 
-    Values below 1e-323 are flagged as underflow and reported through log_pv.
+    detect passes as num_classes the number of fitted values plus the
+    positive held-out ones, and that held-out count as num_excluded, so m is
+    the number of fitted values. Values below 1e-323 are flagged as
+    underflow and reported through log_pv.
     """
     m = num_classes - num_excluded
     if m < 1:
@@ -479,7 +482,7 @@ def calibrated_pvalue(fit: NullFit, r_max: float, num_null: int, num_top: int) -
     return float((1 + np.count_nonzero(sim_tail <= obs_tail)) / (np.count_nonzero(fitted) + 1))
 
 
-def detect(stats, phi: float) -> DetectionReport:
+def detect(stats: list[ClassStatistics], phi: float) -> DetectionReport:
     """Fit the null with collateral-damage exclusion and produce the verdict.
 
     The null is the positive statistics outside the exclusion set; zero

@@ -158,11 +158,13 @@ UNCALLED_API = {
     # accuracy and attack_success_rate classify a split with one head call,
     # so no stage runs a single cloud's forward pass.
     "forward_logits": "perfbench traces it",
-    "point_to_cloud_distance": "perfbench traces it",
-    # Deleting it also drops estimation's import of pool_vector, which
-    # perfbench's TestRebinder.test_missing_names_are_reported reads as
+    # The group vote evaluates the same insertion_logits from the problem's
+    # pools; tests/test_estimation.py keeps this as its reference. Deleting
+    # it also drops estimation's import of pool_vector, which perfbench's
+    # TestRebinder.test_missing_names_are_reported reads as
     # estimation.pool_vector: that test must change first.
-    "vote_target_class": "perfbench traces it, and it is estimation's only use of pool_vector",
+    "vote_target_class": "perfbench traces it, tests check the group vote against it, "
+                         "and it is estimation's only use of pool_vector",
 }
 
 
@@ -245,11 +247,19 @@ def _scope_nodes(scope):
             todo.extend(ast.iter_child_nodes(node))
 
 
+def _element_class(annotation):
+    """The class C of an annotation `list[C]`; else None."""
+    if isinstance(annotation, ast.Subscript) and getattr(annotation.value, "id", None) == "list":
+        return _annotated_class(annotation.slice)
+    return None
+
+
 def _receiver_classes(func, classes: set, owner) -> dict:
     """name -> class for the names of a function whose class is known: the
     first parameter of a method (owner's), an annotated parameter or local,
-    or a name assigned a call of a package class. A name given two classes
-    is left out."""
+    a name assigned a call of a package class, or the target of a for loop
+    or comprehension over a parameter annotated `list[C]`. A name given two
+    classes is left out."""
     found = {}
 
     def bind(name, cls):
@@ -261,8 +271,12 @@ def _receiver_classes(func, classes: set, owner) -> dict:
     for arg in params:
         if cls := _annotated_class(arg.annotation):
             bind(arg.arg, cls)
+    elements = {arg.arg: cls for arg in params if (cls := _element_class(arg.annotation))}
     for node in _scope_nodes(func):
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        if (isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Name) and node.iter.id in elements):
+            bind(node.target.id, elements[node.iter.id])
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             if cls := _annotated_class(node.annotation):
                 bind(node.target.id, cls)
         elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
@@ -353,6 +367,19 @@ def test_checker_resolves_receivers():
              "    return stacks.values(), n.size, b.mark, a.total, copy\n",
     }
     assert unread_fields(sources) == ["A.values", "A.size"]
+
+
+def test_checker_resolves_loop_variables():
+    # A for loop or comprehension over a parameter annotated list[C] reads
+    # C's fields alone, so A.source does not hide behind B.source.
+    sources = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass\nclass A:\n    source: int\n"
+             "@dataclass\nclass B:\n    source: int\n",
+        "b": "def f(bs: list[B]):\n    for b in bs:\n        print(b.source)\n"
+             "def g(bs: list[B]):\n    return [b.source for b in bs]\n",
+    }
+    assert unread_fields(sources) == ["A.source"]
 
 
 # Dataclass fields and properties that no package code reads, each with the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from pcbdet import inference
@@ -27,7 +28,26 @@ from pcbdet.inference import (
     order_statistic_pvalue,
 )
 from pcbdet.report import read_report, write_report_json, write_statistics_csv
-from tests.oracles import gamma_cdf
+from tests.oracles import full_scan_distances, gamma_cdf
+
+
+@st.composite
+def r_s_calls(draw):
+    """(centre, clouds): 1-6 clouds of 1-40 points on a coarse grid or
+    anywhere in [-2, 2]^3, some points duplicated, and a centre that is now
+    and then one of the clouds' points."""
+    coords = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2, 2))
+    clouds = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 40))
+        X = draw(hnp.arrays(np.float64, (n, 3), elements=coords))
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5)):
+            X[i] = X[j]
+        clouds.append(X)
+    if draw(st.booleans()):
+        X = clouds[draw(st.integers(0, len(clouds) - 1))]
+        return X[draw(st.integers(0, len(X) - 1))].copy(), clouds
+    return draw(hnp.arrays(np.float64, (3,), elements=coords)), clouds
 
 
 def make_stats(r_values, t_hats=None):
@@ -51,6 +71,14 @@ class TestBasicStatistics:
         clouds = [np.array([[1.0, 0, 0]]), np.array([[1.0, 0, 0]]), np.array([[4.0, 0, 0]])]
         # r_t is compute_r_s on the voted target's clouds.
         assert compute_r_s([0, 0, 0], clouds) == pytest.approx(2.0, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(call=r_s_calls())
+    def test_r_s_bits_equal_full_scan_mean(self, call):
+        # The mean of the M per-cloud distances, summed as one array: the
+        # bits of the full scan's (1, M) distance row averaged.
+        c, clouds = call
+        assert compute_r_s(c, clouds) == float(full_scan_distances(c[None], clouds)[0].mean())
 
     def test_z_all_parallel(self):
         g = np.array([1.0, 0, 0])
