@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pcbdet.classifier import ClassifierWeights, accuracy, insertion_logits, pool_vector
-from pcbdet.geometry import Dataset, as_cloud, as_point, ball_points, cloud_distances
+from pcbdet.geometry import Dataset, DistanceState, as_cloud, as_point, ball_points
 
 __all__ = [
     "BackdoorPattern",
@@ -124,7 +124,7 @@ def choose_center(source_clouds, standoff: float, seed: int, weights: Classifier
     dirs = rng.normal(size=(CENTER_CANDIDATES, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     points = (1.0 + standoff) * dirs
-    dists, _ = cloud_distances(points, [as_cloud(X) for X in source_clouds])
+    dists, _ = DistanceState(as_cloud(X) for X in source_clouds).query(points)
     order = np.argsort(dists.mean(axis=1), kind="stable")
     near = order[: max(1, int(len(order) * NEAR_FRACTION))]
     pooled = np.stack([pool_vector(weights, X) for X in source_clouds])

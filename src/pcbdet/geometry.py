@@ -18,7 +18,6 @@ __all__ = [
     "SHAPE_NAMES",
     "as_point",
     "as_cloud",
-    "cloud_distances",
     "DistanceState",
     "point_to_cloud_distance",
     "normalize_cloud",
@@ -85,20 +84,21 @@ class Dataset:
         return [X for X, lab in zip(self.clouds, self.labels) if lab == k]
 
 
-def cloud_distances(points: np.ndarray, clouds) -> tuple[np.ndarray, np.ndarray]:
-    """Distance from each point to each cloud, and its unit direction.
+class DistanceState:
+    """The one nearest-point kernel: distance from each point to each of fixed
+    clouds, and its unit direction.
 
-    points is a (..., R, 3) array and clouds a sequence of M arrays of shape
-    (..., n_m, 3), all already validated (as_point / as_cloud); the leading
-    axes of every cloud broadcast against those of points, so one call serves
-    R points against M shared clouds as well as a stack of problems, each
-    pairing its own R points with its own M clouds. This is the one place a
-    nearest point is chosen. Returns dists (..., R, M) and units
-    (..., R, M, 3): units[..., r, m, :] is (points[..., r, :] - x*) /
-    dists[..., r, m], with x* the point of clouds[m] nearest to
-    points[..., r, :] (lowest index on ties), or the zero vector where the
-    distance is at most COINCIDENT_EPS (any subgradient is valid there and
-    zero avoids dividing by a vanishing norm).
+    clouds is a sequence of M arrays of shape (..., n_m, 3), already
+    validated (as_cloud). query(points) takes a (..., R, 3) array (as_point
+    rows) whose leading axes broadcast against those of every cloud, so one
+    state serves R points against M shared clouds as well as a stack of
+    problems, each pairing its own R points with its own M clouds. It
+    returns dists (..., R, M) and units (..., R, M, 3): units[..., r, m, :]
+    is (points[..., r, :] - x*) / dists[..., r, m], with x* the point of
+    clouds[m] nearest to points[..., r, :] (lowest index on ties), or the
+    zero vector where the distance is at most COINCIDENT_EPS (any
+    subgradient is valid there and zero avoids dividing by a vanishing
+    norm).
 
     The nearest point comes from a screen and an exact pick, bit for bit as
     a full scan finds it (the argmin of every squared distance
@@ -119,23 +119,13 @@ def cloud_distances(points: np.ndarray, clouds) -> tuple[np.ndarray, np.ndarray]
     nearest = c - x_idx and d = sqrt(einsum(nearest, nearest)), the same
     differences summed by the same einsum as the full scan's d2 at idx.
 
-    Per cloud, |x_j|^2, -2 x^T and max_j |x_j| do not depend on the points:
-    this call is the one-shot use of DistanceState, which computes them once
-    for its clouds. Per query there remain the product, the scores' argmin
-    and screen, and the exact pick; a descent builds one DistanceState and
-    queries it at every iteration.
-    """
-    return DistanceState(clouds).query(points)
-
-
-class DistanceState:
-    """The query-independent part of cloud_distances for fixed clouds.
-
-    For each cloud (..., n, 3) of clouds it holds its squared norms
-    sq_norms (..., n), the C-contiguous neg2_xt = -2 x^T (..., 3, n) of the
-    screen's product, and radius = max_j |x_j| (...). query(points) is
-    cloud_distances(points, clouds) bit for bit and leaves these arrays
-    unchanged, so one state serves every iteration of a descent.
+    The state holds what does not depend on the points, for each cloud: its
+    squared norms sq_norms (..., n), the C-contiguous neg2_xt = -2 x^T
+    (..., 3, n) of the screen's product, and radius = max_j |x_j| (...).
+    Per query there remain the product, the scores' argmin and screen, and
+    the exact pick. No query changes the state, so a descent builds one and
+    queries it at every iteration; a one-shot use is
+    DistanceState(clouds).query(points).
     """
 
     def __init__(self, clouds):
@@ -147,7 +137,7 @@ class DistanceState:
             self.radius = [np.sqrt(xx.max(axis=-1)) for xx in self.sq_norms]
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dists, units) of points against the clouds: see cloud_distances."""
+        """(dists, units) of points against the clouds: see the class."""
         clouds = self.clouds
         lead = np.broadcast_shapes(points.shape[:-1], *(X.shape[:-2] + (1,) for X in clouds))
         dists = np.empty(lead + (len(clouds),))
@@ -178,7 +168,7 @@ class DistanceState:
 
 def point_to_cloud_distance(c, X) -> float:
     """Minimum Euclidean distance from point c to any point of cloud X."""
-    return float(cloud_distances(as_point(c)[None], [as_cloud(X)])[0][0, 0])
+    return float(DistanceState([as_cloud(X)]).query(as_point(c)[None])[0][0, 0])
 
 
 def normalize_cloud(X) -> np.ndarray:
@@ -353,18 +343,39 @@ def generate_shape(class_id: int, n: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def read_text(path, encoding: str = "ascii") -> str:
-    """The file's text with universal newlines, as text-mode reading gives it;
-    a byte the encoding rejects raises ValueError naming the file and the
-    1-based line."""
+def _check_text(path, encoding: str) -> None:
+    """Raise ValueError naming the file and the 1-based line of the first
+    byte the encoding rejects.
+
+    The file is decoded in reads of 1 MiB run on to the next LF (a file
+    with no LF is one read), which neither ASCII nor UTF-8 puts inside a
+    character, so no character and no CRLF straddles two reads. Lines are
+    counted only when a byte is
+    rejected: the same reads are made again from the start, and each LF,
+    CRLF and lone CR ends a line, as in text mode.
+    """
+
+    def line_ends(data: bytes) -> int:
+        return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode(encoding)
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {line}: not {encoding} text") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        reads = iter(lambda: fh.read(1 << 20) + fh.readline(), b"")
+        for k, chunk in enumerate(reads):
+            try:
+                chunk.decode(encoding)
+            except UnicodeDecodeError as exc:
+                fh.seek(0)
+                line = 1 + sum(map(line_ends, itertools.islice(reads, k))) + line_ends(chunk[: exc.start])
+                raise ValueError(f"{path}: line {line}: not {encoding} text") from None
+
+
+def read_text(path, encoding: str = "ascii") -> str:
+    """The file's text with universal newlines (LF, CRLF or a lone CR end a
+    line); a byte the encoding rejects raises ValueError naming the file and
+    the 1-based line."""
+    _check_text(path, encoding)
+    with open(path, encoding=encoding) as fh:
+        return fh.read()
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -407,31 +418,18 @@ def _points_by_line(path, block: list, i: int, n: int) -> np.ndarray:
     return rows
 
 
-def _check_ascii(path) -> None:
-    """Raise ValueError naming the file and the 1-based line of the first
-    byte that is not ASCII, as read_text does, reading 1 MiB at a time."""
-    newlines = 0
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            if not chunk.isascii():
-                start = next(k for k, byte in enumerate(chunk) if byte > 0x7F)
-                line = newlines + chunk.count(b"\n", 0, start) + 1
-                raise ValueError(f"{path}: line {line}: not ascii text")
-            newlines += chunk.count(b"\n")
-
-
 def load_dataset(path, num_classes: int) -> Dataset:
     """Read a dataset file one record at a time; a byte that is not ASCII, a
     malformed, truncated or non-finite record, or a label outside
     [0, num_classes), raises ValueError naming the file and the 1-based line.
 
     Lines may end in LF, CRLF or a lone CR, as in read_text. The whole file
-    is checked for ASCII first, so that error wins over any other, as it
-    does when the file is decoded at once.
+    is checked for ASCII first, by the check read_text makes, so that error
+    wins over any other.
     """
     clouds: list = []
     labels: list = []
-    _check_ascii(path)
+    _check_text(path, "ascii")
     with open(path, encoding="ascii") as fh:
         i = 0
         for ln in fh:

@@ -11,11 +11,11 @@ import numpy as np
 from scipy import special
 
 from pcbdet.classifier import _point_layers, forward_logits
-from pcbdet.geometry import COINCIDENT_EPS, Dataset, as_cloud, as_point, cloud_distances, read_text
+from pcbdet.geometry import COINCIDENT_EPS, Dataset, DistanceState, as_cloud, as_point
 
 
 def full_scan_distances(points, clouds):
-    """geometry.cloud_distances by a full scan: every squared distance by
+    """geometry.DistanceState.query by a full scan: every squared distance by
     einsum over the (..., R, n, 3) differences, argmin with its lowest-index
     tie rule, and the zero direction within COINCIDENT_EPS. The screened
     kernel must reproduce its dists and units bit for bit."""
@@ -94,13 +94,25 @@ def point_by_point_save_dataset(ds, path) -> None:
                 fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
 
 
+def text_mode_read(data: bytes, encoding: str) -> str:
+    """geometry.read_text of a file holding data: the whole file decoded at
+    once, then CRLF and a lone CR turned into LF."""
+    return data.decode(encoding).replace("\r\n", "\n").replace("\r", "\n")
+
+
 def line_by_line_load_dataset(path, num_classes: int) -> Dataset:
     """geometry.load_dataset parsing every point line by str.split and
     float(): the loader must give the same arrays bit for bit, and the same
-    error message for a file it rejects."""
+    error message for a file it rejects. The file is decoded as latin-1 and
+    split at its line ends, and the first line holding a byte above 0x7F
+    names the ASCII error before any record is parsed."""
     clouds: list = []
     labels: list = []
-    lines = read_text(path).split("\n")
+    with open(path, "rb") as fh:
+        lines = text_mode_read(fh.read(), "latin-1").split("\n")
+    for k, ln in enumerate(lines):
+        if not ln.isascii():
+            raise ValueError(f"{path}: line {k + 1}: not ascii text")
     i = 0
     while i < len(lines):
         ln = lines[i].strip()
@@ -150,10 +162,10 @@ def point_to_cloud(c, X):
 def distance_to_cloud(c, X):
     """(distance, unit direction) from the one point c to the cloud X.
 
-    Not a reference: a one-point call of geometry.cloud_distances, the code
+    Not a reference: a one-point query of geometry.DistanceState, the code
     under test, for tests that check its one-point results.
     """
-    return tuple(a[0, 0] for a in cloud_distances(as_point(c)[None], [as_cloud(X)]))
+    return tuple(a[0, 0] for a in DistanceState([as_cloud(X)]).query(as_point(c)[None]))
 
 
 def group_loss(w, clouds, source: int, c, lam: float) -> float:

@@ -13,7 +13,6 @@ from pcbdet.geometry import (
     DistanceState,
     SHAPE_NAMES,
     ball_points,
-    cloud_distances,
     generate_shape,
     load_dataset,
     normalize_cloud,
@@ -114,7 +113,7 @@ class TestCloudDistances:
     """The one nearest-point kernel against the brute-force oracle."""
 
     def assert_matches_oracle(self, points, cloud_list, units_too=True):
-        dists, units = cloud_distances(points, cloud_list)
+        dists, units = DistanceState(cloud_list).query(points)
         assert dists.shape == (len(points), len(cloud_list)) and units.shape == (len(points), len(cloud_list), 3)
         for p, c in enumerate(points):
             for m, X in enumerate(cloud_list):
@@ -131,7 +130,7 @@ class TestCloudDistances:
     def test_lowest_index_wins_a_tie(self):
         points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         X = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        _, units = cloud_distances(points, [X])
+        _, units = DistanceState([X]).query(points)
         np.testing.assert_array_equal(units[0, 0], [-1.0, 0.0, 0.0])
         assert point_to_cloud(points[0], X)[1] == [-1.0, 0.0, 0.0]
         self.assert_matches_oracle(points, [X])
@@ -139,7 +138,7 @@ class TestCloudDistances:
     def test_coincident_point_has_zero_direction(self):
         X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         points = np.array([[4.0, 5.0, 6.0], [1.0, 2.0, 3.0 + 1e-13], [1.0, 2.0, 3.5]])
-        dists, units = cloud_distances(points, [X])
+        dists, units = DistanceState([X]).query(points)
         np.testing.assert_array_equal(units[:2, 0], np.zeros((2, 3)))
         np.testing.assert_array_equal(units[2, 0], [0.0, 0.0, 1.0])
         assert dists[0, 0] == 0.0
@@ -162,7 +161,7 @@ class TestCloudDistances:
             ]),
             rng.normal(size=(2, 5, 3)),
         ]
-        dists, units = cloud_distances(points, clouds)
+        dists, units = DistanceState(clouds).query(points)
         assert dists.shape == (2, 3, 2) and units.shape == (2, 3, 2, 3)
         for p in range(2):
             for r in range(3):
@@ -171,7 +170,7 @@ class TestCloudDistances:
                     assert dists[p, r, m] == pytest.approx(d, rel=1e-12, abs=1e-150)
                     np.testing.assert_allclose(units[p, r, m], u, rtol=1e-12, atol=1e-15)
             # Each problem's slice is the bits of its own unstacked call.
-            alone = cloud_distances(points[p], [X[p] for X in clouds])
+            alone = DistanceState([X[p] for X in clouds]).query(points[p])
             assert dists[p].tobytes() == alone[0].tobytes() and units[p].tobytes() == alone[1].tobytes()
         np.testing.assert_array_equal(units[0, 0, 0], [-1.0, 0.0, 0.0])
         np.testing.assert_array_equal(units[1, :2, 0], np.zeros((2, 3)))
@@ -182,7 +181,7 @@ class TestCloudDistances:
     def test_property_matches_oracle(self, points, cloud_list):
         points = np.array(points)
         self.assert_matches_oracle(points, cloud_list, units_too=False)
-        _, units = cloud_distances(points, cloud_list)
+        _, units = DistanceState(cloud_list).query(points)
         for p, c in enumerate(points):
             for m, X in enumerate(cloud_list):
                 # Directions are compared where the nearest distinct point is
@@ -202,7 +201,7 @@ scales = st.sampled_from([1.0, 1e29, 1e200])
 
 @st.composite
 def distance_calls(draw):
-    """Arguments of one cloud_distances call, in the shared form (points
+    """Arguments of one DistanceState query, in the shared form (points
     (R, 3)) or the stacked form (points (P, R, 3)), with 1-3 clouds of their
     own sizes, duplicated points and query points on a cloud."""
     lead = draw(st.sampled_from([(), (1,), (3,)]))
@@ -222,11 +221,11 @@ def distance_calls(draw):
 
 
 class TestScreenedKernel:
-    """cloud_distances against the full scan it replaced: the same bits."""
+    """DistanceState.query against the full scan it replaced: the same bits."""
 
     def assert_bits_equal(self, points, cloud_list):
         with np.errstate(over="ignore", invalid="ignore"):
-            got = cloud_distances(points, cloud_list)
+            got = DistanceState(cloud_list).query(points)
             want = full_scan_distances(points, cloud_list)
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
@@ -240,7 +239,8 @@ class TestScreenedKernel:
     @given(distance_calls(), st.data())
     def test_state_queried_again_gives_one_shot_bits(self, call, data):
         # One state, built once as a descent builds it, answers every query
-        # with the bits of a one-shot call, and no query changes its arrays.
+        # with the bits of a state built for that query alone, and no query
+        # changes its arrays.
         points, cloud_list = call
         lead = points.shape[:-2]
         queries = [points]
@@ -256,7 +256,7 @@ class TestScreenedKernel:
         for q in queries:
             with np.errstate(over="ignore", invalid="ignore"):
                 got = state.query(q)
-                want = cloud_distances(q, cloud_list)
+                want = DistanceState(cloud_list).query(q)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert [a.tobytes() for a in arrays] == before
@@ -275,7 +275,7 @@ class TestScreenedKernel:
             [np.zeros((2, 1, 3)), np.full((2, 1, 3), 1e200), 3.2 * rng.normal(size=(2, 6, 3))], axis=1
         )
         self.assert_bits_equal(points, [X])
-        _, units = cloud_distances(points, [X])
+        _, units = DistanceState([X]).query(points)
         np.testing.assert_array_equal(units[:, 0, 0], [[-1.0, 0.0, 0.0]] * 2)  # lowest index wins
         # The shared form over the first problem's cloud.
         self.assert_bits_equal(points[0], [X[0], X[0, :7]])
@@ -288,7 +288,7 @@ class TestScreenedKernel:
         points = np.array([[1e8, 0.0, 0.0]])
         X = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.5]])
         self.assert_bits_equal(points, [X])
-        np.testing.assert_array_equal(cloud_distances(points, [X])[1][0, 0], [1.0, 0.0, -1e-8])
+        np.testing.assert_array_equal(DistanceState([X]).query(points)[1][0, 0], [1.0, 0.0, -1e-8])
 
 
 class TestNormalize:

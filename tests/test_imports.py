@@ -254,12 +254,35 @@ def _element_class(annotation):
     return None
 
 
+def _loop_targets(target, iterable):
+    """(target, source) pairs of a for loop or comprehension, each target
+    taking the elements of its source in turn: `for x in p`,
+    `for i, x in enumerate(p)` and `for x, y in zip(p, q)`."""
+    if not isinstance(iterable, ast.Call):
+        return [(target, iterable)]
+    func, args = getattr(iterable.func, "id", None), iterable.args
+    if isinstance(target, ast.Tuple) and func == "enumerate" and len(args) == 1 and len(target.elts) == 2:
+        return [(target.elts[1], args[0])]
+    if isinstance(target, ast.Tuple) and func == "zip" and len(args) == len(target.elts):
+        return list(zip(target.elts, args))
+    return []
+
+
+def _receiver_key(node):
+    """The key a receiver's class is known by in _receiver_classes: `x` for
+    a name x, `p[]` for an item p[k] of a name p; else None."""
+    if isinstance(node, ast.Subscript) and not isinstance(node.slice, ast.Slice):
+        return f"{node.value.id}[]" if isinstance(node.value, ast.Name) else None
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _receiver_classes(func, classes: set, owner) -> dict:
-    """name -> class for the names of a function whose class is known: the
-    first parameter of a method (owner's), an annotated parameter or local,
-    a name assigned a call of a package class, or the target of a for loop
-    or comprehension over a parameter annotated `list[C]`. A name given two
-    classes is left out."""
+    """key -> class for the receivers of a function whose class is known
+    (keys as _receiver_key gives them): the first parameter of a method
+    (owner's), an annotated parameter or local, a name assigned a call of a
+    package class, and for a parameter p annotated `list[C]` its items p[k]
+    and the targets that take its elements in a for loop or comprehension
+    (see _loop_targets). A name given two classes is left out."""
     found = {}
 
     def bind(name, cls):
@@ -272,10 +295,13 @@ def _receiver_classes(func, classes: set, owner) -> dict:
         if cls := _annotated_class(arg.annotation):
             bind(arg.arg, cls)
     elements = {arg.arg: cls for arg in params if (cls := _element_class(arg.annotation))}
+    for name, cls in elements.items():
+        bind(f"{name}[]", cls)
     for node in _scope_nodes(func):
-        if (isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name)
-                and isinstance(node.iter, ast.Name) and node.iter.id in elements):
-            bind(node.target.id, elements[node.iter.id])
+        if isinstance(node, (ast.For, ast.comprehension)):
+            for target, source in _loop_targets(node.target, node.iter):
+                if isinstance(target, ast.Name) and isinstance(source, ast.Name) and source.id in elements:
+                    bind(target.id, elements[source.id])
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             if cls := _annotated_class(node.annotation):
                 bind(node.target.id, cls)
@@ -317,7 +343,7 @@ def unread_fields(sources: dict) -> list:
             nodes = list(_scope_nodes(scope))
 
             def receiver(attr):
-                return known.get(attr.value.id) if isinstance(attr.value, ast.Name) else None
+                return known.get(_receiver_key(attr.value))
 
             copies = {
                 id(kw.value)
@@ -380,6 +406,21 @@ def test_checker_resolves_loop_variables():
              "def g(bs: list[B]):\n    return [b.source for b in bs]\n",
     }
     assert unread_fields(sources) == ["A.source"]
+
+
+def test_checker_resolves_enumerate_zip_and_items():
+    # The element of enumerate(p), each element of zip(p, q) and an item
+    # p[k] of a parameter p annotated list[C] read C's fields alone; a slice
+    # p[1:] is a list and reads by name.
+    sources = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass\nclass A:\n    source: int\n    target: int\n    seed: int\n    tag: int\n"
+             "@dataclass\nclass B:\n    source: int\n    target: int\n    seed: int\n    tag: int\n",
+        "b": "def f(bs: list[B], cs: list):\n"
+             "    for i, b in enumerate(bs):\n        print(b.source)\n"
+             "    print([b.target + c.x for b, c in zip(bs, cs)], bs[0].seed, bs[1:].tag)\n",
+    }
+    assert unread_fields(sources) == ["A.source", "A.target", "A.seed"]
 
 
 # Dataclass fields and properties that no package code reads, each with the

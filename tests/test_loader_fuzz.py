@@ -1,5 +1,7 @@
 """Corrupted input files: every loader returns a valid object or raises a
-ValueError whose message starts with the file path."""
+ValueError whose message starts with the file path. Every text reader names
+the line of a byte its encoding rejects, whichever line ends the file uses,
+and read_text gives the text that a text-mode read gives."""
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 
 from pcbdet.classifier import ClassifierWeights, init_weights, load_weights, save_weights
 from pcbdet.config import RunConfig, default_config, load_config, save_config
-from pcbdet.geometry import Dataset, generate_shape, load_dataset, save_dataset
+from pcbdet.geometry import Dataset, generate_shape, load_dataset, read_text, save_dataset
 from pcbdet.inference import ClassStatistics, DetectionReport, detect
 from pcbdet.report import STATS_HEADER, read_report, read_statistics_csv, write_report_json, write_statistics_csv
+from tests.oracles import text_mode_read
 
 CLASSES = 3
 
@@ -119,3 +122,61 @@ def test_corrupted_file_loads_or_names_the_file(originals, name, data):
         assert str(exc).startswith(f"{path}: "), str(exc)
     else:
         check(obj)
+
+
+# The text files among LOADERS, with the encoding each reader accepts.
+TEXT_ENCODINGS = {"dataset": "ascii", "config": "utf-8", "statistics": "ascii", "report": "ascii"}
+MIB = 1 << 20
+
+
+@pytest.mark.parametrize(
+    "name, ending, first",
+    [
+        pytest.param(name, ending, None, id=f"{name}-{label}")
+        for name in sorted(TEXT_ENCODINGS)
+        for label, ending in {"LF": b"\n", "CRLF": b"\r\n", "CR": b"\r"}.items()
+    ]
+    + [
+        # The CR of line 1's CRLF is the last byte of the first MiB.
+        pytest.param("dataset", b"\r\n", b" " * (MIB - 1), id="dataset-CRLF-across-1MiB"),
+        # A two-byte U+00E9 spans bytes MIB - 1 and MIB.
+        pytest.param("config", b"\n", b"#" + "\xe9".encode("utf-8") * (MIB // 2), id="config-UTF8-across-1MiB"),
+    ],
+)
+def test_rejected_byte_names_line_3(originals, name, ending, first):
+    # The valid file, its lines ended by ending and after a first line when
+    # one is given, with a byte on line 3 that neither encoding accepts.
+    # When the first line is given, the file's first 1 MiB read ends inside
+    # a CRLF or a character, and it must run on to the next LF.
+    root, valid = originals
+    filename, _, load, _ = LOADERS[name]
+    lines = valid[name].split(b"\n")
+    if first is not None:
+        lines.insert(0, first)
+    lines[2] = b"\xff" + lines[2]
+    path = root / f"line3-{filename}"
+    path.write_bytes(ending.join(lines))
+    with pytest.raises(ValueError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: line 3: not {TEXT_ENCODINGS[name]} text"
+
+
+@st.composite
+def text_files(draw):
+    """(encoding, bytes) of ASCII or UTF-8 text whose lines end in LF, CRLF
+    or a lone CR, mixed within a file."""
+    encoding = draw(st.sampled_from(["ascii", "utf-8"]))
+    chars = st.characters(codec=encoding)
+    lines = draw(st.lists(st.text(chars, max_size=12), max_size=8))
+    ending = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ending) for line in lines) + draw(st.text(chars, max_size=4))
+    return encoding, text.encode(encoding)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=text_files())
+def test_read_text_is_a_text_mode_read(originals, case):
+    encoding, data = case
+    path = originals[0] / "text.txt"
+    path.write_bytes(data)
+    assert read_text(path, encoding) == text_mode_read(data, encoding)
